@@ -2,8 +2,8 @@
 //!
 //! The headline measurement is **interpreted vs compiled** simulation: the
 //! legacy fixpoint sweep re-walks the whole tile grid per vector, while the
-//! compiled engine flattens each context once and pushes 64 vectors per
-//! bit-parallel pass. On the 8×8, 4-context fabric below the compiled
+//! compiled engine flattens and binds each context once and pushes 64
+//! vectors per bit-parallel pass. On the 8×8, 4-context fabric below the compiled
 //! engine must amortize to ≥10× faster per vector — the bench prints the
 //! measured ratio alongside the Criterion timings.
 
@@ -11,13 +11,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mcfpga_core::ArchKind;
 use mcfpga_css::Schedule;
 use mcfpga_device::TechParams;
-use mcfpga_fabric::compiled::{CompiledFabric, LANES};
+use mcfpga_fabric::compiled::{chunk_of_word, BoundPlan, CompiledFabric, LaneChunk, LANES};
 use mcfpga_fabric::context::{run_schedule, ContextSequencer};
 use mcfpga_fabric::netlist_ir::{generators, LogicNetlist};
 use mcfpga_fabric::route::implement_netlist_robust;
 use mcfpga_fabric::sim::evaluate_fixpoint;
 use mcfpga_fabric::temporal::{execute, execute_compiled, implement, partition};
-use mcfpga_fabric::{Fabric, FabricParams};
+use mcfpga_fabric::{Fabric, FabricParams, DIRTY_ALL};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -75,6 +75,25 @@ fn random_batch(names: &[String], seed: u64) -> (Vec<(String, u64)>, Vec<Vec<(St
     (lanes, scalars)
 }
 
+/// Binds `ctx` and resolves its inputs from lane-packed `lanes` — the
+/// setup every timed compiled loop below does once, outside the loop.
+fn bind_lanes(
+    compiled: &CompiledFabric,
+    ctx: usize,
+    lanes: &[(String, u64)],
+) -> (BoundPlan, Vec<LaneChunk>) {
+    let bound = compiled.bind(ctx).expect("bind");
+    let chunks = bound
+        .resolve_inputs(|name| {
+            lanes
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| chunk_of_word(*v))
+        })
+        .expect("every input driven");
+    (bound, chunks)
+}
+
 /// The acceptance measurement: per-vector amortized time of both engines
 /// over all four contexts, printed as a ratio.
 fn measure_speedup(fabric: &Fabric, inputs: &[Vec<String>]) -> f64 {
@@ -102,15 +121,21 @@ fn measure_speedup(fabric: &Fabric, inputs: &[Vec<String>]) -> f64 {
     // leave the denominator inside scheduler-noise territory; loop until the
     // measurement itself spans a robust wall-clock window.
     let min_elapsed = std::time::Duration::from_millis(50);
-    let lane_ins: Vec<Vec<(&str, u64)>> = batches
+    let plans: Vec<(BoundPlan, Vec<LaneChunk>)> = batches
         .iter()
-        .map(|(lanes, _)| lanes.iter().map(|(n, v)| (n.as_str(), *v)).collect())
+        .enumerate()
+        .map(|(ctx, (lanes, _))| bind_lanes(&compiled, ctx, lanes))
         .collect();
+    let (mut st, mut outs) = (compiled.new_state(), Vec::new());
     let mut compiled_reps = 0usize;
     let t1 = Instant::now();
     while t1.elapsed() < min_elapsed {
-        for (ctx, ins) in lane_ins.iter().enumerate() {
-            black_box(compiled.eval_batch(ctx, ins).expect("resolves"));
+        for (bound, chunks) in &plans {
+            black_box(
+                compiled
+                    .eval_bound_into(bound, chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+                    .expect("resolves"),
+            );
         }
         compiled_reps += 1;
     }
@@ -150,8 +175,15 @@ fn bench(c: &mut Criterion) {
     c.bench_function("fabric/compiled_batch_64vec_8x8", |b| {
         let compiled = CompiledFabric::compile(&fabric).unwrap();
         let (lanes, _) = random_batch(&input_names[0], 7);
-        let ins: Vec<(&str, u64)> = lanes.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        b.iter(|| black_box(compiled.eval_batch(0, &ins).unwrap()));
+        let (bound, chunks) = bind_lanes(&compiled, 0, &lanes);
+        let (mut st, mut outs) = (compiled.new_state(), Vec::new());
+        b.iter(|| {
+            black_box(
+                compiled
+                    .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+                    .unwrap(),
+            )
+        });
     });
 
     c.bench_function("fabric/compile_8x8_4ctx", |b| {

@@ -6,10 +6,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcfpga_core::timing::TimingParams;
 use mcfpga_cost::sweep;
-use mcfpga_fabric::compiled::CompiledFabric;
+use mcfpga_fabric::compiled::{chunk_of_word, CompiledFabric};
 use mcfpga_fabric::netlist_ir::generators;
 use mcfpga_fabric::route::implement_netlist_robust;
-use mcfpga_fabric::{Fabric, FabricParams};
+use mcfpga_fabric::{Fabric, FabricParams, DIRTY_ALL};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -48,13 +48,28 @@ fn bench(c: &mut Criterion) {
     for n in [4usize, 8, 12] {
         let fabric = parity_fabric(n);
         let compiled = CompiledFabric::compile(&fabric).unwrap();
+        let bound = compiled.bind(0).unwrap();
         let mut rng = StdRng::seed_from_u64(n as u64);
         let lanes: Vec<(String, u64)> = (0..8)
             .map(|i| (format!("x{i}"), rng.random_range(0..u64::MAX)))
             .collect();
-        let ins: Vec<(&str, u64)> = lanes.iter().map(|(s, v)| (s.as_str(), *v)).collect();
+        let chunks = bound
+            .resolve_inputs(|name| {
+                lanes
+                    .iter()
+                    .find(|(s, _)| s == name)
+                    .map(|(_, v)| chunk_of_word(*v))
+            })
+            .unwrap();
+        let (mut st, mut outs) = (compiled.new_state(), Vec::new());
         g.bench_function(BenchmarkId::from_parameter(format!("{n}x{n}")), |b| {
-            b.iter(|| black_box(compiled.eval_batch(0, &ins).unwrap()));
+            b.iter(|| {
+                black_box(
+                    compiled
+                        .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+                        .unwrap(),
+                )
+            });
         });
     }
     g.finish();

@@ -15,7 +15,7 @@ use mcfpga_telemetry::{
     NodeHealthSample, SpanEvent, SpanKind, Telemetry, ACTIVE_TENANTS_METRIC, FAULT_TALLY_METRIC,
     QUEUE_DEPTH_METRIC,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Requests submitted through the cluster façade
@@ -258,11 +258,12 @@ pub struct Cluster {
     /// cluster request/tenant ids.
     telemetry: Telemetry,
     metrics: ClusterMetrics,
-    /// Cluster request → every `(node, node-local raw id)` incarnation it
-    /// has had, oldest first. Unlike `request_map` (consumed at merge),
-    /// hops are kept so [`trace`](Self::trace) can stitch the full
-    /// cross-node timeline after the response is long gone.
-    trace_map: HashMap<u64, Vec<(usize, u64)>>,
+    /// `(cluster request, node, node-local raw id)` for every incarnation
+    /// a request has had, oldest first. Unlike `request_map` (consumed at
+    /// merge), hops outlive the response so [`trace`](Self::trace) can
+    /// stitch the cross-node timeline — but only as many as the cluster
+    /// span ring holds spans (see [`record_hop`](Self::record_hop)).
+    trace_hops: VecDeque<(u64, usize, u64)>,
 }
 
 impl Cluster {
@@ -310,7 +311,7 @@ impl Cluster {
             threads: None,
             telemetry,
             metrics,
-            trace_map: HashMap::new(),
+            trace_hops: VecDeque::new(),
         })
     }
 
@@ -513,10 +514,7 @@ impl Cluster {
         let id = ClusterRequestId(self.next_request);
         self.next_request += 1;
         self.request_map.insert((node, rid.value()), id);
-        self.trace_map
-            .entry(id.value())
-            .or_default()
-            .push((node, rid.value()));
+        self.record_hop(id.value(), node, rid.value());
         self.metrics.requests.inc();
         // the admission hop at the cluster level carries *where* the
         // request landed; node-local hops are stitched in by `trace`
@@ -742,10 +740,7 @@ impl Cluster {
         for (&old_raw, new_rid) in ckpt.pending.requests.iter().zip(&fresh) {
             if let Some(cid) = self.request_map.remove(&(src_node, old_raw)) {
                 self.request_map.insert((dst_node, new_rid.value()), cid);
-                self.trace_map
-                    .entry(cid.value())
-                    .or_default()
-                    .push((dst_node, new_rid.value()));
+                self.record_hop(cid.value(), dst_node, new_rid.value());
                 // the hop every in-flight request takes when its tenant
                 // moves: recorded on the *destination*, detail = source
                 self.telemetry.trace_buffer().record(
@@ -842,9 +837,7 @@ impl Cluster {
         // gone, and so are its trace hops — the new service's telemetry
         // knows nothing about old raw request ids
         self.request_map.retain(|&(owner, _), _| owner != node);
-        for hops in self.trace_map.values_mut() {
-            hops.retain(|&(owner, _)| owner != node);
-        }
+        self.trace_hops.retain(|&(_, owner, _)| owner != node);
         Ok(())
     }
 
@@ -1010,7 +1003,9 @@ impl Cluster {
     /// with the owning node — in virtual-clock order
     /// ([`sort_timeline`]). Spans survive node restarts only as far as
     /// each node's telemetry does: a restarted node's old incarnation
-    /// contributes nothing.
+    /// contributes nothing. Node-local spans are found only while the
+    /// request's hops are among the most recent the cluster span ring's
+    /// capacity allows.
     #[must_use]
     pub fn trace(&self, request: ClusterRequestId) -> Vec<SpanEvent> {
         let mut events: Vec<SpanEvent> = self
@@ -1019,13 +1014,11 @@ impl Cluster {
             .trace(request.value())
             .into_iter()
             .collect();
-        if let Some(hops) = self.trace_map.get(&request.value()) {
-            for &(node, raw) in hops {
-                for mut ev in self.nodes[node].svc.telemetry().trace(raw) {
-                    ev.key = request.value();
-                    ev.node = node as u32;
-                    events.push(ev);
-                }
+        for &(_, node, raw) in self.trace_hops.iter().filter(|h| h.0 == request.value()) {
+            for mut ev in self.nodes[node].svc.telemetry().trace(raw) {
+                ev.key = request.value();
+                ev.node = node as u32;
+                events.push(ev);
             }
         }
         sort_timeline(&mut events);
@@ -1035,6 +1028,20 @@ impl Cluster {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
+
+    /// Records one `(node, node-local raw id)` incarnation of cluster
+    /// request `cid`, keeping at most as many hops as the cluster span
+    /// ring holds spans. Each hop is recorded next to an `Admitted` or
+    /// `MigrationHop` span keyed by the same request, so a hop ages out no
+    /// earlier than its span: while the ring still holds that span,
+    /// [`trace`](Self::trace) can still stitch the hop's node-local spans.
+    fn record_hop(&mut self, cid: u64, node: usize, raw: u64) {
+        let capacity = self.telemetry.trace_buffer().capacity();
+        self.trace_hops.push_back((cid, node, raw));
+        while self.trace_hops.len() > capacity {
+            self.trace_hops.pop_front();
+        }
+    }
 
     fn check_node(&self, node: usize) -> Result<(), ClusterError> {
         if node >= self.nodes.len() {
@@ -1058,3 +1065,46 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Cluster>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcfpga_fabric::netlist_ir::generators;
+
+    /// Sustained traffic — far more requests than the cluster span ring
+    /// holds, with queued requests migrating between nodes — keeps the
+    /// hop bookkeeping within the ring's capacity, while the newest
+    /// request still stitches its full cross-node timeline.
+    #[test]
+    fn trace_hops_stay_bounded_by_the_span_ring() {
+        let node =
+            || ShardedService::new(2, FabricParams::default(), TechParams::default()).unwrap();
+        let mut c = Cluster::new(vec![node(), node()]).unwrap();
+        let capacity = 32;
+        c.telemetry().trace_buffer().set_capacity(capacity);
+        let t = c.admit("t", &generators::parity_tree(3).unwrap()).unwrap();
+        let mut ids = Vec::new();
+        for round in 0..40u64 {
+            for i in 0..8u64 {
+                let v = round * 8 + i;
+                let bits = [("x0", v & 1 == 1), ("x1", v & 2 == 2), ("x2", v & 4 == 4)];
+                ids.push(c.submit(t, &bits).unwrap());
+            }
+            if round % 4 == 3 {
+                // carry the queued requests to the other node
+                let dst = 1 - c.tenant_node(t).unwrap();
+                c.migrate_tenant(t, dst).unwrap();
+            }
+            assert_eq!(c.drain().unwrap().len(), 8);
+            assert!(c.trace_hops.len() <= capacity, "round {round}");
+        }
+        assert!(ids.len() > 8 * capacity);
+        // the newest request migrated before it was answered
+        let kinds: Vec<SpanKind> = c.trace(ids[ids.len() - 1]).iter().map(|e| e.kind).collect();
+        assert_eq!(kinds.first(), Some(&SpanKind::Admitted));
+        assert!(kinds.contains(&SpanKind::MigrationHop));
+        assert_eq!(kinds.last(), Some(&SpanKind::Demuxed));
+        // the oldest request's hops aged out with its cluster spans
+        assert!(c.trace(ids[0]).is_empty());
+    }
+}

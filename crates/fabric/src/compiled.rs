@@ -22,14 +22,20 @@
 //!    ([`LaneBatch::words`]), so a ≤64-lane pass costs what the old
 //!    single-word engine did.
 //!
-//! [`crate::sim::evaluate`] wraps a 1-lane call for API compatibility;
-//! batch users call [`CompiledFabric::eval_batch`] directly, and
-//! [`crate::context::run_schedule`] drives whole context schedules through
-//! the per-context compiled planes. Independent single-vector requests are
-//! coalesced into one pass with [`LaneBatch`].
+//! Evaluation has one public surface: [`CompiledFabric::bind`] resolves a
+//! context's IO names to a [`BoundPlan`] once, and
+//! [`CompiledFabric::eval_bound_into`] then runs the plane on input chunks
+//! passed **by position** (bind order), writing outputs in the same order.
+//! Name-keyed callers — [`crate::sim::evaluate`],
+//! [`crate::context::run_schedule`], [`crate::temporal`] — translate names
+//! to positions with [`BoundPlan::resolve_inputs`], the one place that
+//! happens. [`CompiledFabric::eval_bound_reference`] runs the same bound
+//! plan through the branchy interpreter as the equivalence oracle.
+//! Independent single-vector requests are coalesced into one pass with
+//! [`LaneBatch`].
 //!
 //! ```
-//! use mcfpga_fabric::compiled::{pack_lanes, CompiledFabric};
+//! use mcfpga_fabric::compiled::{pack_chunk, CompiledFabric, DIRTY_ALL};
 //! use mcfpga_fabric::netlist_ir::generators;
 //! use mcfpga_fabric::route::implement_netlist;
 //! use mcfpga_fabric::{Fabric, FabricParams};
@@ -38,16 +44,18 @@
 //! let mut fabric = Fabric::new(FabricParams::default())?;
 //! implement_netlist(&mut fabric, &generators::parity_tree(3)?, 0, 7)?;
 //! let compiled = CompiledFabric::compile(&fabric)?;
+//! let bound = compiled.bind(0)?;
 //!
 //! // Evaluate all 8 input vectors in a single bit-parallel pass:
 //! // lane `v` of input `xi` carries bit `i` of vector `v`.
-//! let inputs: Vec<(String, u64)> = (0..3)
-//!     .map(|i| (format!("x{i}"), pack_lanes(|v| v < 8 && (v >> i) & 1 == 1)))
-//!     .collect();
-//! let refs: Vec<(&str, u64)> = inputs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-//! let outs = compiled.eval_batch_sorted(0, &refs)?;
+//! let chunks = bound.resolve_inputs(|name| {
+//!     let i: usize = name.strip_prefix('x')?.parse().ok()?;
+//!     Some(pack_chunk(|v| v < 8 && (v >> i) & 1 == 1))
+//! })?;
+//! let (mut st, mut outs) = (compiled.new_state(), Vec::new());
+//! compiled.eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)?;
 //! for v in 0..8u32 {
-//!     assert_eq!((outs[0].1 >> v) & 1 == 1, v.count_ones() % 2 == 1);
+//!     assert_eq!((outs[0][0] >> v) & 1 == 1, v.count_ones() % 2 == 1);
 //! }
 //! # Ok::<(), mcfpga_fabric::FabricError>(())
 //! ```
@@ -122,18 +130,18 @@ pub fn pack_lanes(mut bit: impl FnMut(usize) -> bool) -> u64 {
 pub type ResourceId = u32;
 
 /// Coalesces independent single-vector requests into the lane chunks one
-/// [`CompiledFabric::eval_chunks`] pass consumes.
+/// [`CompiledFabric::eval_bound_into`] pass consumes.
 ///
 /// Each pushed request occupies one lane; the batch keeps the union of all
 /// named inputs, with lane `l` of a name's [`LaneChunk`] holding request
 /// `l`'s value (a request that omits a name contributes 0 in its lane).
-/// After the pass, [`LaneBatch::extract_lane`] demuxes one request's
-/// outputs back out. The capacity is the batch's **width**: [`LANES`] (one
+/// After the pass, [`chunk_bit`] reads one request's outputs back out of
+/// lane `l`. The capacity is the batch's **width**: [`LANES`] (one
 /// word) for [`LaneBatch::new`], up to [`MAX_LANES`] via
 /// [`LaneBatch::with_width`].
 ///
 /// ```
-/// use mcfpga_fabric::compiled::{LaneBatch, LANES};
+/// use mcfpga_fabric::compiled::{chunk_bit, LaneBatch};
 ///
 /// let mut batch = LaneBatch::new();
 /// let lane_a = batch.push(&[("x", true), ("y", false)]).unwrap();
@@ -147,8 +155,8 @@ pub type ResourceId = u32;
 /// assert_eq!(x[0] & 0b11, 0b01); // lane 0 true, lane 1 false
 ///
 /// // outputs of an eval pass demux the same way
-/// let outs = vec![("z".to_string(), [0b10u64, 0, 0, 0])];
-/// assert_eq!(LaneBatch::extract_lane(&outs, lane_b), vec![("z".to_string(), true)]);
+/// let z = [0b10u64, 0, 0, 0];
+/// assert!(!chunk_bit(&z, lane_a) && chunk_bit(&z, lane_b));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LaneBatch {
@@ -414,7 +422,8 @@ impl LaneBatch {
         }
     }
 
-    /// The union lane chunks, ready for [`CompiledFabric::eval_chunks`].
+    /// The union lane chunks, in union order; [`BoundPlan::resolve_inputs`]
+    /// puts them in a plan's bind order.
     #[must_use]
     pub fn lane_inputs(&self) -> Vec<(&str, LaneChunk)> {
         self.inputs.iter().map(|(n, v)| (n.as_str(), *v)).collect()
@@ -426,15 +435,6 @@ impl LaneBatch {
         for (_, chunk) in &mut self.inputs {
             *chunk = [0u64; LANE_WORDS];
         }
-    }
-
-    /// Demuxes one lane of a pass's outputs back to scalar booleans.
-    #[must_use]
-    pub fn extract_lane(outputs: &[(String, LaneChunk)], lane: usize) -> Vec<(String, bool)> {
-        outputs
-            .iter()
-            .map(|(n, v)| (n.clone(), chunk_bit(v, lane)))
-            .collect()
     }
 }
 
@@ -674,9 +674,9 @@ struct PlaneKernel {
 /// admission, so steady-state sweeps index arrays instead of scanning
 /// name lists and clone `Arc<str>`s instead of `String`s.
 ///
-/// Entries keep the plane's bind order — output order is exactly the
-/// response order of the name-keyed evaluation APIs. The `bool` marks
-/// stream registers ([`REG_PREFIX`]).
+/// Entries keep the plane's bind order: it is the order in which
+/// [`CompiledFabric::eval_bound_into`] takes input chunks and returns
+/// output chunks. The `bool` marks stream registers ([`REG_PREFIX`]).
 #[derive(Debug, Clone)]
 pub struct BoundPlan {
     ctx: usize,
@@ -703,6 +703,24 @@ impl BoundPlan {
     #[must_use]
     pub fn outputs(&self) -> &[(ResourceId, Arc<str>, bool)] {
         &self.outputs
+    }
+
+    /// Gathers one chunk per bound input, in bind order, by asking
+    /// `lookup` for each input's name — the one name → position step
+    /// between a name-keyed caller and
+    /// [`CompiledFabric::eval_bound_into`]. A name `lookup` does not know
+    /// fails with `input '<name>' not driven`.
+    pub fn resolve_inputs(
+        &self,
+        mut lookup: impl FnMut(&str) -> Option<LaneChunk>,
+    ) -> Result<Vec<LaneChunk>, FabricError> {
+        self.inputs
+            .iter()
+            .map(|(_, name, _)| {
+                lookup(name)
+                    .ok_or_else(|| FabricError::Unresolved(format!("input '{name}' not driven")))
+            })
+            .collect()
     }
 }
 
@@ -1288,26 +1306,8 @@ impl CompiledFabric {
         })
     }
 
-    /// Evaluates context `ctx` on up to [`LANES`] input vectors at once —
-    /// the legacy single-word view: each input/output `u64` is word 0 of
-    /// the chunked datapath (see [`Self::eval_chunks`]).
-    ///
-    /// Bit `l` of each input's `u64` is that signal's value in vector `l`;
-    /// outputs use the same lane packing. Unknown-propagation semantics are
-    /// identical to [`crate::sim::evaluate_fixpoint`]: every bound input of
-    /// the context must be supplied, and every bound output must resolve.
-    pub fn eval_batch(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, u64)],
-    ) -> Result<(Vec<(String, u64)>, CompiledState), FabricError> {
-        let mut st = self.new_state();
-        let outs = self.eval_batch_into(ctx, inputs, &mut st)?;
-        Ok((outs, st))
-    }
-
     /// A scratch state sized for this fabric, reusable across
-    /// [`Self::eval_chunks_into`] calls. The arena carries one extra
+    /// [`Self::eval_bound_into`] calls. The arena carries one extra
     /// always-zero cell past [`ResourceLayout::total`] — the sentinel an
     /// unconfigured kernel pin reads; nothing ever writes it.
     #[must_use]
@@ -1317,149 +1317,6 @@ impl CompiledFabric {
             values: vec![[0u64; LANE_WORDS]; self.layout.total() + 1],
             known: vec![false; self.layout.total() + 1],
         }
-    }
-
-    /// [`Self::eval_batch`] writing into a caller-owned scratch state —
-    /// hot loops (schedule replay, staged execution) evaluate many batches
-    /// without re-allocating the arena each step. The single-word path
-    /// seeds the arena directly from the `u64` inputs — no intermediate
-    /// chunk-widening vector is built.
-    pub fn eval_batch_into(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, u64)],
-        st: &mut CompiledState,
-    ) -> Result<Vec<(String, u64)>, FabricError> {
-        let plane = self.plane(ctx)?;
-        self.prepare_state(st);
-        for (id, name) in &plane.inputs {
-            let v = inputs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| FabricError::Unresolved(format!("input '{name}' not driven")))?;
-            st.values[*id as usize] = chunk_of_word(v);
-            st.known[*id as usize] = true;
-        }
-        if let Some(kernel) = &plane.kernel {
-            Self::kernel_run_all(kernel, 1, st);
-            Ok(plane
-                .outputs
-                .iter()
-                .map(|(id, name)| (name.clone(), st.values[*id as usize][0]))
-                .collect())
-        } else {
-            Self::run_interpreter(plane, 1, st);
-            plane
-                .outputs
-                .iter()
-                .map(|(id, name)| {
-                    st.read_chunk(*id)
-                        .map(|c| (name.clone(), c[0]))
-                        .ok_or_else(|| {
-                            FabricError::Unresolved(format!("output '{name}' unresolved"))
-                        })
-                })
-                .collect()
-        }
-    }
-
-    /// Evaluates context `ctx` on up to [`MAX_LANES`] input vectors at
-    /// once: lane `l` of each input's [`LaneChunk`] is that signal's value
-    /// in vector `l`, outputs use the same packing.
-    ///
-    /// `words` is the number of 64-lane words actually occupied
-    /// ([`LaneBatch::words`], clamped to `1..=LANE_WORDS`): only those
-    /// words are computed and words past it come back zero, so sparse
-    /// batches pay exactly the old single-word cost. Lanes are fully
-    /// independent — evaluating a chunk is bit-for-bit identical to
-    /// [`LANE_WORDS`] separate [`Self::eval_batch`] passes, one per word.
-    pub fn eval_chunks(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, LaneChunk)],
-        words: usize,
-    ) -> Result<(Vec<(String, LaneChunk)>, CompiledState), FabricError> {
-        let mut st = self.new_state();
-        let outs = self.eval_chunks_into(ctx, inputs, words, &mut st)?;
-        Ok((outs, st))
-    }
-
-    /// [`Self::eval_chunks`] writing into a caller-owned scratch state.
-    /// Acyclic planes dispatch to the straight-line kernel; cyclic planes
-    /// (and planes with unreachable bound outputs) fall back to the
-    /// reference interpreter, with identical results and errors either
-    /// way.
-    pub fn eval_chunks_into(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, LaneChunk)],
-        words: usize,
-        st: &mut CompiledState,
-    ) -> Result<Vec<(String, LaneChunk)>, FabricError> {
-        let words = words.clamp(1, LANE_WORDS);
-        let plane = self.plane(ctx)?;
-        self.prepare_state(st);
-        for (id, name) in &plane.inputs {
-            let v = inputs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| FabricError::Unresolved(format!("input '{name}' not driven")))?;
-            Self::seed_input(st, *id, v, words);
-        }
-        if let Some(kernel) = &plane.kernel {
-            Self::kernel_run_all(kernel, words, st);
-            Ok(plane
-                .outputs
-                .iter()
-                .map(|(id, name)| (name.clone(), st.values[*id as usize]))
-                .collect())
-        } else {
-            Self::run_interpreter(plane, words, st);
-            let mut outs = Vec::with_capacity(plane.outputs.len());
-            for (id, name) in &plane.outputs {
-                let v = st.read_chunk(*id).ok_or_else(|| {
-                    FabricError::Unresolved(format!("output '{name}' unresolved"))
-                })?;
-                outs.push((name.clone(), v));
-            }
-            Ok(outs)
-        }
-    }
-
-    /// The v1 branchy interpreter, unconditionally — bit-for-bit the
-    /// pre-kernel [`Self::eval_chunks_into`]. Kept public as the
-    /// equivalence oracle for the kernel path (property tests, the
-    /// `eval_kernel` bench) and as executable documentation of the
-    /// semantics the kernel must reproduce.
-    pub fn eval_chunks_into_reference(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, LaneChunk)],
-        words: usize,
-        st: &mut CompiledState,
-    ) -> Result<Vec<(String, LaneChunk)>, FabricError> {
-        let words = words.clamp(1, LANE_WORDS);
-        let plane = self.plane(ctx)?;
-        self.prepare_state(st);
-        for (id, name) in &plane.inputs {
-            let v = inputs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| FabricError::Unresolved(format!("input '{name}' not driven")))?;
-            Self::seed_input(st, *id, v, words);
-        }
-        Self::run_interpreter(plane, words, st);
-        let mut outs = Vec::with_capacity(plane.outputs.len());
-        for (id, name) in &plane.outputs {
-            let v = st
-                .read_chunk(*id)
-                .ok_or_else(|| FabricError::Unresolved(format!("output '{name}' unresolved")))?;
-            outs.push((name.clone(), v));
-        }
-        Ok(outs)
     }
 
     /// Resolves context `ctx`'s IO names to a reusable [`BoundPlan`] —
@@ -1483,9 +1340,20 @@ impl CompiledFabric {
         self.plane(ctx).is_ok_and(CompiledPlane::has_kernel)
     }
 
-    /// Evaluates a prebound plan: `chunks` parallel to
-    /// [`BoundPlan::inputs`], outputs pushed into `outs` parallel to
-    /// [`BoundPlan::outputs`] — no name resolution, no `String` clones.
+    /// Evaluates a prebound plan on up to [`MAX_LANES`] input vectors at
+    /// once: `chunks` parallel to [`BoundPlan::inputs`], outputs written
+    /// into `outs` parallel to [`BoundPlan::outputs`] — no name
+    /// resolution, no `String` clones. Lane `l` of every chunk is one
+    /// input vector. Acyclic planes run the straight-line kernel; cyclic
+    /// planes (and planes with unreachable bound outputs) fall back to the
+    /// reference interpreter, with identical results and errors either
+    /// way. Unknown propagation matches [`crate::sim::evaluate_fixpoint`]:
+    /// a bound output that never resolves is an error.
+    ///
+    /// `words` is the number of 64-lane words actually occupied
+    /// ([`LaneBatch::words`], clamped to `1..=LANE_WORDS`): only those
+    /// words are computed and words past it come back zero, so a ≤64-lane
+    /// pass costs one word. Lanes are fully independent.
     ///
     /// `dirty` drives the dirty-cone incremental path on kernel planes:
     /// bit `i` set means input `i`'s chunk may differ from the previous
@@ -1505,7 +1373,81 @@ impl CompiledFabric {
         st: &mut CompiledState,
         outs: &mut Vec<LaneChunk>,
     ) -> Result<EvalStats, FabricError> {
-        let words = words.clamp(1, LANE_WORDS);
+        let (plane, words, fresh) = self.prepare_bound(bound, chunks, words, st, outs)?;
+        let Some(kernel) = &plane.kernel else {
+            Self::interpret(plane, bound, chunks, words, st, outs)?;
+            return Ok(EvalStats {
+                ops_total: plane.ops.len() as u64,
+                ops_skipped: 0,
+                kernel: false,
+            });
+        };
+        // the dirty mask cannot address inputs past bit 63 (and cone
+        // tracking is disabled for such planes): sweep fully
+        let dirty = if fresh || (bound.inputs.len() > 64 && dirty != 0) {
+            DIRTY_ALL
+        } else {
+            dirty
+        };
+        let ops_total = kernel.ops.len() as u64;
+        let run = if dirty == DIRTY_ALL {
+            Self::seed_all(bound, chunks, words, st);
+            Self::kernel_run_all(kernel, words, st);
+            ops_total
+        } else if dirty == 0 {
+            0
+        } else {
+            for (i, ((id, _, _), chunk)) in bound.inputs.iter().zip(chunks).enumerate() {
+                if dirty >> i & 1 == 1 {
+                    Self::seed_input(st, *id, *chunk, words);
+                }
+            }
+            Self::kernel_run_dirty(kernel, words, dirty, st)
+        };
+        outs.extend(
+            bound
+                .outputs
+                .iter()
+                .map(|(id, _, _)| st.values[*id as usize]),
+        );
+        Ok(EvalStats {
+            ops_total,
+            ops_skipped: ops_total - run,
+            kernel: true,
+        })
+    }
+
+    /// The branchy interpreter, unconditionally, on the same positional
+    /// contract as [`Self::eval_bound_into`] (always a full sweep). Kept
+    /// public as the equivalence oracle for the kernel path (property
+    /// tests, the `eval_kernel` bench) and as executable documentation of
+    /// the semantics the kernel must reproduce.
+    pub fn eval_bound_reference(
+        &self,
+        bound: &BoundPlan,
+        chunks: &[LaneChunk],
+        words: usize,
+        st: &mut CompiledState,
+        outs: &mut Vec<LaneChunk>,
+    ) -> Result<(), FabricError> {
+        let (plane, words, _) = self.prepare_bound(bound, chunks, words, st, outs)?;
+        Self::interpret(plane, bound, chunks, words, st, outs)
+    }
+
+    /// The checks both bound evaluators share: the plan's plane must be
+    /// compiled, `chunks` must match its inputs one-for-one, and `words`
+    /// is clamped to `1..=LANE_WORDS`. A scratch state from a differently
+    /// shaped fabric is rebuilt rather than read through the wrong
+    /// resource layout; the returned flag says so (its cached values are
+    /// then gone). Clears `outs`.
+    fn prepare_bound(
+        &self,
+        bound: &BoundPlan,
+        chunks: &[LaneChunk],
+        words: usize,
+        st: &mut CompiledState,
+        outs: &mut Vec<LaneChunk>,
+    ) -> Result<(&CompiledPlane, usize, bool), FabricError> {
         let plane = self.plane(bound.ctx)?;
         if chunks.len() != bound.inputs.len() {
             return Err(FabricError::BadParams(format!(
@@ -1514,72 +1456,41 @@ impl CompiledFabric {
                 bound.inputs.len()
             )));
         }
-        let mut dirty = dirty;
-        if st.layout != self.layout {
+        let fresh = st.layout != self.layout;
+        if fresh {
             *st = self.new_state();
-            dirty = DIRTY_ALL;
-        }
-        if bound.inputs.len() > 64 && dirty != 0 {
-            // the dirty mask cannot address inputs past bit 63 (and cone
-            // tracking is disabled for such planes): sweep fully
-            dirty = DIRTY_ALL;
         }
         outs.clear();
-        if let Some(kernel) = &plane.kernel {
-            let ops_total = kernel.ops.len() as u64;
-            let run = if dirty == DIRTY_ALL {
-                st.reset();
-                for ((id, _, _), chunk) in bound.inputs.iter().zip(chunks) {
-                    Self::seed_input(st, *id, *chunk, words);
-                }
-                Self::kernel_run_all(kernel, words, st);
-                ops_total
-            } else if dirty == 0 {
-                0
-            } else {
-                for (i, ((id, _, _), chunk)) in bound.inputs.iter().zip(chunks).enumerate() {
-                    if dirty >> i & 1 == 1 {
-                        Self::seed_input(st, *id, *chunk, words);
-                    }
-                }
-                Self::kernel_run_dirty(kernel, words, dirty, st)
-            };
-            for (id, _, _) in &bound.outputs {
-                outs.push(st.values[*id as usize]);
-            }
-            Ok(EvalStats {
-                ops_total,
-                ops_skipped: ops_total - run,
-                kernel: true,
-            })
-        } else {
-            st.reset();
-            for ((id, _, _), chunk) in bound.inputs.iter().zip(chunks) {
-                Self::seed_input(st, *id, *chunk, words);
-            }
-            Self::run_interpreter(plane, words, st);
-            for (id, name, _) in &bound.outputs {
-                let v = st.read_chunk(*id).ok_or_else(|| {
-                    FabricError::Unresolved(format!("output '{name}' unresolved"))
-                })?;
-                outs.push(v);
-            }
-            Ok(EvalStats {
-                ops_total: plane.ops.len() as u64,
-                ops_skipped: 0,
-                kernel: false,
-            })
-        }
+        Ok((plane, words.clamp(1, LANE_WORDS), fresh))
     }
 
-    /// Readies a caller scratch state for a fresh sweep: rebuilt when it
-    /// came from a differently-shaped fabric (rather than silently
-    /// reading through the wrong resource layout), reset otherwise.
-    fn prepare_state(&self, st: &mut CompiledState) {
-        if st.layout != self.layout || st.values.len() != self.layout.total() + 1 {
-            *st = self.new_state();
-        } else {
-            st.reset();
+    /// A full interpreter sweep of a bound plan: reset, seed every input,
+    /// run the plane, read every output — failing with
+    /// `output '<name>' unresolved` when one stays unknown.
+    fn interpret(
+        plane: &CompiledPlane,
+        bound: &BoundPlan,
+        chunks: &[LaneChunk],
+        words: usize,
+        st: &mut CompiledState,
+        outs: &mut Vec<LaneChunk>,
+    ) -> Result<(), FabricError> {
+        Self::seed_all(bound, chunks, words, st);
+        Self::run_interpreter(plane, words, st);
+        for (id, name, _) in &bound.outputs {
+            let v = st
+                .read_chunk(*id)
+                .ok_or_else(|| FabricError::Unresolved(format!("output '{name}' unresolved")))?;
+            outs.push(v);
+        }
+        Ok(())
+    }
+
+    /// Marks every resource unknown, then seeds every bound input.
+    fn seed_all(bound: &BoundPlan, chunks: &[LaneChunk], words: usize, st: &mut CompiledState) {
+        st.reset();
+        for ((id, _, _), chunk) in bound.inputs.iter().zip(chunks) {
+            Self::seed_input(st, *id, *chunk, words);
         }
     }
 
@@ -1753,17 +1664,6 @@ impl CompiledFabric {
             }
         }
     }
-
-    /// Evaluates `ctx` on a batch and returns outputs sorted by name.
-    pub fn eval_batch_sorted(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, u64)],
-    ) -> Result<Vec<(String, u64)>, FabricError> {
-        let (mut o, _) = self.eval_batch(ctx, inputs)?;
-        o.sort();
-        Ok(o)
-    }
 }
 
 // The multi-tenant service fans per-shard sweeps out across worker
@@ -1786,6 +1686,31 @@ mod tests {
     use crate::netlist_ir::generators;
     use crate::route::implement_netlist;
     use crate::sim::evaluate_fixpoint;
+
+    /// Name-keyed single-word evaluation through the public surface: bind,
+    /// resolve inputs by name, evaluate word 0. Outputs sorted by name.
+    fn eval_named(
+        compiled: &CompiledFabric,
+        ctx: usize,
+        ins: &[(&str, u64)],
+    ) -> Result<(Vec<(String, u64)>, CompiledState), FabricError> {
+        let bound = compiled.bind(ctx)?;
+        let chunks = bound.resolve_inputs(|name| {
+            ins.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| chunk_of_word(*v))
+        })?;
+        let (mut st, mut outs) = (compiled.new_state(), Vec::new());
+        compiled.eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)?;
+        let mut named: Vec<(String, u64)> = bound
+            .outputs()
+            .iter()
+            .zip(&outs)
+            .map(|((_, name, _), c)| (name.to_string(), c[0]))
+            .collect();
+        named.sort();
+        Ok((named, st))
+    }
 
     #[test]
     fn lut_lanes_matches_scalar_eval() {
@@ -1830,7 +1755,7 @@ mod tests {
             .map(|i| (format!("x{i}"), pack_lanes(|v| v < 16 && (v >> i) & 1 == 1)))
             .collect();
         let ins_ref: Vec<(&str, u64)> = ins.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        let outs = compiled.eval_batch_sorted(1, &ins_ref).unwrap();
+        let (outs, _) = eval_named(&compiled, 1, &ins_ref).unwrap();
         assert_eq!(outs.len(), 1);
         for v in 0..16u64 {
             let scalar_ins: Vec<(String, bool)> = (0..4)
@@ -1849,10 +1774,42 @@ mod tests {
         let mut f = Fabric::new(FabricParams::default()).unwrap();
         implement_netlist(&mut f, &nl, 0, 1).unwrap();
         let compiled = CompiledFabric::compile(&f).unwrap();
-        assert!(matches!(
-            compiled.eval_batch(0, &[]),
-            Err(FabricError::Unresolved(_))
-        ));
+        assert_eq!(
+            eval_named(&compiled, 0, &[]).unwrap_err(),
+            FabricError::Unresolved("input 'in0' not driven".into())
+        );
+    }
+
+    #[test]
+    fn bound_eval_rejects_a_wrong_chunk_count() {
+        let nl = generators::parity_tree(3).unwrap();
+        let mut f = Fabric::new(FabricParams::default()).unwrap();
+        implement_netlist(&mut f, &nl, 0, 5).unwrap();
+        let compiled = CompiledFabric::compile(&f).unwrap();
+        let bound = compiled.bind(0).unwrap();
+        assert_eq!(bound.inputs().len(), 3);
+        let mut st = compiled.new_state();
+        let mut outs = vec![[7u64; LANE_WORDS]];
+        for n in [0, 2, 4] {
+            let chunks = vec![[0u64; LANE_WORDS]; n];
+            for words in [1, LANE_WORDS] {
+                assert_eq!(
+                    compiled.eval_bound_into(&bound, &chunks, words, DIRTY_ALL, &mut st, &mut outs),
+                    Err(FabricError::BadParams(format!(
+                        "{n} input chunks for 3 bound inputs"
+                    )))
+                );
+                assert!(matches!(
+                    compiled.eval_bound_reference(&bound, &chunks, words, &mut st, &mut outs),
+                    Err(FabricError::BadParams(_))
+                ));
+            }
+        }
+        assert_eq!(
+            outs,
+            vec![[7u64; LANE_WORDS]],
+            "a refused call leaves outs alone"
+        );
     }
 
     #[test]
@@ -1897,10 +1854,10 @@ mod tests {
 
         let compiled = CompiledFabric::compile(&f).unwrap();
         assert!(compiled.plane(0).unwrap().is_cyclic());
-        let outs = compiled.eval_batch_sorted(0, &[("x", 0b10u64)]).unwrap();
+        let (outs, _) = eval_named(&compiled, 0, &[("x", 0b10u64)]).unwrap();
         assert_eq!(outs, vec![("y".to_string(), 0b10u64)]);
         // the looped wires stay unknown, exactly like the reference
-        let (_, st) = compiled.eval_batch(0, &[("x", 1)]).unwrap();
+        let (_, st) = eval_named(&compiled, 0, &[("x", 1)]).unwrap();
         assert_eq!(st.wire(a, Dir::East, 0), None);
         let (gold, gst) = evaluate_fixpoint(&f, 0, &[("x", true)]).unwrap();
         assert_eq!(gold, vec![("y".to_string(), true)]);
@@ -1918,7 +1875,7 @@ mod tests {
         assert!(!compiled.plane(0).unwrap().ops().is_empty());
         assert!(!compiled.plane(1).unwrap().ops().is_empty());
         assert!(compiled.plane(2).unwrap().ops().is_empty());
-        let out1 = compiled.eval_batch_sorted(1, &[("in0", !0u64)]).unwrap();
+        let (out1, _) = eval_named(&compiled, 1, &[("in0", !0u64)]).unwrap();
         assert_eq!(out1, vec![("out0".to_string(), !0u64)]);
     }
 
@@ -1931,11 +1888,11 @@ mod tests {
         implement_netlist(&mut f, &w, 1, 3).unwrap();
         let partial = CompiledFabric::compile_context(&f, 0).unwrap();
         let ins: Vec<(&str, u64)> = vec![("x0", !0), ("x1", 0), ("x2", !0)];
-        assert!(partial.eval_batch(0, &ins).is_ok());
+        assert!(eval_named(&partial, 0, &ins).is_ok());
         // ctx 1 has a real design, but this compilation never saw it —
         // error out rather than hand back empty outputs
         assert_eq!(
-            partial.eval_batch(1, &[("in0", 1)]).unwrap_err(),
+            eval_named(&partial, 1, &[("in0", 1)]).unwrap_err(),
             FabricError::ContextNotCompiled {
                 ctx: 1,
                 compiled: 0
@@ -2048,13 +2005,23 @@ mod tests {
         for (x0, x1, x2) in requests {
             batch.push(&[("x0", x0), ("x1", x1), ("x2", x2)]).unwrap();
         }
-        let (outs, _) = compiled
-            .eval_chunks(0, &batch.lane_inputs(), batch.words())
+        let bound = compiled.bind(0).unwrap();
+        let chunks = bound
+            .resolve_inputs(|name| batch.name_index(name).map(|i| batch.input_chunk(i)))
+            .unwrap();
+        let (mut st, mut outs) = (compiled.new_state(), Vec::new());
+        compiled
+            .eval_bound_into(
+                &bound,
+                &chunks,
+                batch.words(),
+                DIRTY_ALL,
+                &mut st,
+                &mut outs,
+            )
             .unwrap();
         for (lane, (x0, x1, x2)) in requests.into_iter().enumerate() {
-            let scalar = LaneBatch::extract_lane(&outs, lane);
-            let want = x0 ^ x1 ^ x2;
-            assert_eq!(scalar[0].1, want, "lane {lane}");
+            assert_eq!(chunk_bit(&outs[0], lane), x0 ^ x1 ^ x2, "lane {lane}");
         }
     }
 
@@ -2066,28 +2033,30 @@ mod tests {
         let mut f = Fabric::new(FabricParams::default()).unwrap();
         implement_netlist(&mut f, &nl, 0, 5).unwrap();
         let compiled = CompiledFabric::compile(&f).unwrap();
-        let chunks: Vec<(String, LaneChunk)> = (0..3)
-            .map(|i| {
-                (
-                    format!("x{i}"),
-                    pack_chunk(|l| (l * 0x9E37 + i * 31) % (i + 2) == 0),
-                )
-            })
+        let bound = compiled.bind(0).unwrap();
+        let chunks: Vec<LaneChunk> = (0..bound.inputs().len())
+            .map(|i| pack_chunk(|l| (l * 0x9E37 + i * 31) % (i + 2) == 0))
             .collect();
-        let refs: Vec<(&str, LaneChunk)> = chunks.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-        let (wide, _) = compiled.eval_chunks(0, &refs, LANE_WORDS).unwrap();
+        let mut st = compiled.new_state();
+        let eval = |chunks: &[LaneChunk], words: usize, st: &mut CompiledState| {
+            let mut outs = Vec::new();
+            compiled
+                .eval_bound_into(&bound, chunks, words, DIRTY_ALL, st, &mut outs)
+                .unwrap();
+            outs
+        };
+        let wide = eval(&chunks, LANE_WORDS, &mut st);
         for w in 0..LANE_WORDS {
-            let words: Vec<(&str, u64)> = chunks.iter().map(|(n, c)| (n.as_str(), c[w])).collect();
-            let (narrow, _) = compiled.eval_batch(0, &words).unwrap();
-            for ((wn, wc), (nn, nv)) in wide.iter().zip(&narrow) {
-                assert_eq!(wn, nn);
-                assert_eq!(wc[w], *nv, "word {w}");
+            let word_w: Vec<LaneChunk> = chunks.iter().map(|c| chunk_of_word(c[w])).collect();
+            let narrow = eval(&word_w, 1, &mut st);
+            for (wc, nc) in wide.iter().zip(&narrow) {
+                assert_eq!(wc[w], nc[0], "word {w}");
             }
         }
         // words < LANE_WORDS zeroes the unoccupied words, even when the
         // input chunk carries stray bits there
-        let (sparse, _) = compiled.eval_chunks(0, &refs, 1).unwrap();
-        for ((_, c), (_, full)) in sparse.iter().zip(&wide) {
+        let sparse = eval(&chunks, 1, &mut st);
+        for (c, full) in sparse.iter().zip(&wide) {
             assert_eq!(c[0], full[0]);
             assert_eq!(c[1..], [0u64; LANE_WORDS - 1]);
         }
@@ -2189,17 +2158,13 @@ mod tests {
         let compiled = CompiledFabric::compile_context(&f, 1).unwrap();
         assert_eq!(compiled.compiled_context(), Some(1));
         let ins: Vec<(&str, u64)> = vec![("x0", 0xF0F0), ("x1", 0xFF00), ("x2", 0xAAAA)];
-        let want = compiled.eval_batch_sorted(1, &ins).unwrap();
+        let (want, _) = eval_named(&compiled, 1, &ins).unwrap();
         for dst in 0..4 {
             let moved = compiled.rebase_context(dst).unwrap();
             assert_eq!(moved.compiled_context(), Some(dst));
-            assert_eq!(
-                moved.eval_batch_sorted(dst, &ins).unwrap(),
-                want,
-                "dst {dst}"
-            );
+            assert_eq!(eval_named(&moved, dst, &ins).unwrap().0, want, "dst {dst}");
             if dst != 1 {
-                assert!(moved.eval_batch(1, &ins).is_err(), "old slot must refuse");
+                assert!(eval_named(&moved, 1, &ins).is_err(), "old slot must refuse");
             }
         }
         assert!(compiled.rebase_context(99).is_err());
@@ -2229,20 +2194,16 @@ mod tests {
         implement_netlist(&mut f, &nl, 2, 5).unwrap();
         let compiled = CompiledFabric::compile_context(&f, 2).unwrap();
         let ins: Vec<(&str, u64)> = vec![("x0", 0xF0F0), ("x1", 0xFF00), ("x2", 0xAAAA)];
-        let want = compiled.eval_batch_sorted(2, &ins).unwrap();
+        let (want, _) = eval_named(&compiled, 2, &ins).unwrap();
         for dst in 0..big.contexts {
             let moved = compiled.rebase_onto(big, dst).unwrap();
             assert_eq!(moved.params(), &big);
             assert_eq!(moved.compiled_context(), Some(dst));
-            assert_eq!(
-                moved.eval_batch_sorted(dst, &ins).unwrap(),
-                want,
-                "dst {dst}"
-            );
+            assert_eq!(eval_named(&moved, dst, &ins).unwrap().0, want, "dst {dst}");
         }
         // same-geometry calls fall through to rebase_context
         let same = compiled.rebase_onto(small, 0).unwrap();
-        assert_eq!(same.eval_batch_sorted(0, &ins).unwrap(), want);
+        assert_eq!(eval_named(&same, 0, &ins).unwrap().0, want);
         // out-of-range destination context
         assert!(compiled.rebase_onto(big, big.contexts).is_err());
         // full compilations have nothing to move

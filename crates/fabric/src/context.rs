@@ -31,7 +31,7 @@
 //! # Ok::<(), mcfpga_fabric::FabricError>(())
 //! ```
 
-use crate::compiled::CompiledFabric;
+use crate::compiled::{chunk_of_word, BoundPlan, CompiledFabric, LaneChunk, DIRTY_ALL};
 use crate::FabricError;
 use mcfpga_core::ArchKind;
 use mcfpga_css::optimize::{optimize_sweep, CostMatrix, OptimizeMode};
@@ -282,8 +282,9 @@ pub struct ScheduleRun {
 /// broadcast-network energy of every switch.
 ///
 /// `inputs` is the union of all contexts' bound input signals; each plane
-/// picks the names it binds. The sequencer is reset first, so repeated
-/// runs of the same schedule are reproducible.
+/// picks the names it binds. Each context is bound (and its inputs
+/// resolved) once, at its first step. The sequencer is reset first, so
+/// repeated runs of the same schedule are reproducible.
 pub fn run_schedule(
     compiled: &CompiledFabric,
     seq: &mut ContextSequencer,
@@ -295,11 +296,30 @@ pub fn run_schedule(
     let mut stats = SequenceStats::zero();
     let mut steps = Vec::with_capacity(schedule.len());
     let mut scratch = compiled.new_state();
+    let mut outs = Vec::new();
+    let mut plans: Vec<Option<(BoundPlan, Vec<LaneChunk>)>> =
+        vec![None; compiled.params().contexts];
     for ctx in schedule.iter() {
         seq.charge_step(ctx, &mut stats)?;
+        if plans.get(ctx).is_none_or(Option::is_none) {
+            // uncompiled and out-of-range contexts fail here
+            let bound = compiled.bind(ctx)?;
+            let chunks = bound.resolve_inputs(|name| {
+                inputs
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|(_, v)| chunk_of_word(*v))
+            })?;
+            plans[ctx] = Some((bound, chunks));
+        }
+        let (bound, chunks) = plans[ctx].as_ref().expect("bound above");
         // the CSS has swapped the active plane; execute it bit-parallel
-        let outs = compiled.eval_batch_into(ctx, inputs, &mut scratch)?;
-        steps.push((ctx, outs));
+        compiled.eval_bound_into(bound, chunks, 1, DIRTY_ALL, &mut scratch, &mut outs)?;
+        let named = bound.outputs().iter().zip(&outs);
+        steps.push((
+            ctx,
+            named.map(|((_, n, _), c)| (n.to_string(), c[0])).collect(),
+        ));
     }
     stats.dynamic_energy_j = stats.wire_toggles as f64 * params.css_toggle_energy_j;
     Ok(ScheduleRun { stats, steps })

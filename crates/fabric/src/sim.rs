@@ -11,15 +11,16 @@
 //!   input). Simple, obviously correct, and slow — it re-scans every tile
 //!   per sweep per vector through `HashMap` keys.
 //! * [`crate::compiled::CompiledFabric`] — the production engine: compile
-//!   once into dense levelized ops, then evaluate 64 input vectors per
+//!   once into dense levelized ops, bind a context, then evaluate up to
+//!   [`MAX_LANES`](crate::compiled::MAX_LANES) input vectors per
 //!   bit-parallel pass.
 //!
 //! [`evaluate`] keeps the original one-vector API as a thin wrapper over a
-//! 1-lane compiled call; the equivalence of both engines is enforced
+//! 1-lane bound evaluation; the equivalence of both engines is enforced
 //! bit-for-bit by `tests/prop_compiled.rs`.
 
 use crate::array::{Dir, Fabric, Sink, Source, TileCoord};
-use crate::compiled::CompiledFabric;
+use crate::compiled::{chunk_of_word, CompiledFabric, CompiledState, DIRTY_ALL};
 use crate::FabricError;
 use std::collections::HashMap;
 
@@ -56,20 +57,15 @@ impl FabricState {
 /// Returns `(named outputs, full state)`. This compiles the fabric and
 /// runs a single bit-parallel lane — correct but paying compile cost per
 /// call. Callers evaluating many vectors or replaying schedules should
-/// compile once with [`CompiledFabric::compile`] and use
-/// [`CompiledFabric::eval_batch`].
+/// compile once with [`CompiledFabric::compile`], bind each context once
+/// with [`CompiledFabric::bind`] and use
+/// [`CompiledFabric::eval_bound_into`].
 pub fn evaluate(
     fabric: &Fabric,
     ctx: usize,
     inputs: &[(&str, bool)],
 ) -> Result<(Vec<(String, bool)>, FabricState), FabricError> {
-    let compiled = CompiledFabric::compile_context(fabric, ctx)?;
-    let lane_inputs: Vec<(&str, u64)> = inputs
-        .iter()
-        .map(|(n, v)| (*n, if *v { 1u64 } else { 0 }))
-        .collect();
-    let (outs, cst) = compiled.eval_batch(ctx, &lane_inputs)?;
-    let outs = outs.into_iter().map(|(n, v)| (n, v & 1 == 1)).collect();
+    let (outs, cst) = evaluate_lane0(fabric, ctx, inputs)?;
 
     // lower lane 0 of the dense state into the sparse map form
     let params = fabric.params();
@@ -92,6 +88,33 @@ pub fn evaluate(
         }
     }
     Ok((outs, st))
+}
+
+/// Compiles only `ctx` and runs one vector through it on lane 0 — the
+/// shared core of [`evaluate`] and [`evaluate_sorted`]. Outputs keep the
+/// plane's bind order.
+fn evaluate_lane0(
+    fabric: &Fabric,
+    ctx: usize,
+    inputs: &[(&str, bool)],
+) -> Result<(Vec<(String, bool)>, CompiledState), FabricError> {
+    let compiled = CompiledFabric::compile_context(fabric, ctx)?;
+    let bound = compiled.bind(ctx)?;
+    let chunks = bound.resolve_inputs(|name| {
+        inputs
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| chunk_of_word(u64::from(*v)))
+    })?;
+    let (mut st, mut outs) = (compiled.new_state(), Vec::new());
+    compiled.eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)?;
+    let named = bound
+        .outputs()
+        .iter()
+        .zip(&outs)
+        .map(|((_, name, _), c)| (name.to_string(), c[0] & 1 == 1))
+        .collect();
+    Ok((named, st))
 }
 
 /// Reference implementation: monotone fixpoint sweep over the raw fabric.
@@ -220,13 +243,9 @@ pub fn evaluate_sorted(
     ctx: usize,
     inputs: &[(&str, bool)],
 ) -> Result<Vec<(String, bool)>, FabricError> {
-    let compiled = CompiledFabric::compile_context(fabric, ctx)?;
-    let lane_inputs: Vec<(&str, u64)> = inputs.iter().map(|(n, v)| (*n, u64::from(*v))).collect();
-    Ok(compiled
-        .eval_batch_sorted(ctx, &lane_inputs)?
-        .into_iter()
-        .map(|(n, v)| (n, v & 1 == 1))
-        .collect())
+    let (mut outs, _) = evaluate_lane0(fabric, ctx, inputs)?;
+    outs.sort();
+    Ok(outs)
 }
 
 #[cfg(test)]

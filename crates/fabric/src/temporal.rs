@@ -9,7 +9,7 @@
 //! every context.
 
 use crate::array::Fabric;
-use crate::compiled::{chunk_of_word, CompiledFabric, LaneChunk};
+use crate::compiled::{chunk_of_word, CompiledFabric, CompiledState, LaneChunk, DIRTY_ALL};
 use crate::lut::tables;
 use crate::netlist_ir::{LogicNetlist, Node, NodeId};
 use crate::route::{implement_netlist, RoutedDesign};
@@ -300,7 +300,7 @@ pub fn execute_stage(
     stage: usize,
     inputs: &[(&str, u64)],
     regs: &mut RegisterFile,
-    scratch: &mut crate::compiled::CompiledState,
+    scratch: &mut CompiledState,
 ) -> Result<Vec<(String, u64)>, FabricError> {
     let sub = part
         .stages
@@ -309,19 +309,24 @@ pub fn execute_stage(
     if sub.lut_count() == 0 && sub.outputs().is_empty() {
         return Ok(Vec::new());
     }
-    // stage inputs: primary inputs + register reads (word 0 — temporal
-    // execution batches at most 64 user cycles per call)
-    let mut stage_inputs: Vec<(&str, u64)> = inputs.to_vec();
-    for (name, v) in regs.entries() {
-        stage_inputs.push((name.as_str(), v[0]));
-    }
-    let outs = compiled.eval_batch_into(stage, &stage_inputs, scratch)?;
+    // stage inputs: primary inputs, then register reads (word 0 —
+    // temporal execution batches at most 64 user cycles per call)
+    let bound = compiled.bind(stage)?;
+    let chunks = bound.resolve_inputs(|name| {
+        inputs
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| chunk_of_word(*v))
+            .or_else(|| regs.get_chunk(name))
+    })?;
+    let mut outs = Vec::with_capacity(bound.outputs().len());
+    compiled.eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, scratch, &mut outs)?;
     let mut primary = Vec::new();
-    for (name, v) in outs {
-        if name.starts_with("reg:") {
-            regs.set(&name, v);
+    for ((_, name, is_reg), v) in bound.outputs().iter().zip(&outs) {
+        if *is_reg {
+            regs.set(name, v[0]);
         } else {
-            primary.push((name, v));
+            primary.push((name.to_string(), v[0]));
         }
     }
     Ok(primary)

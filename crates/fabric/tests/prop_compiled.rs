@@ -2,10 +2,14 @@
 //! match the legacy fixpoint sweep **bit-for-bit** — on random routed
 //! fabrics, across every context, across all 64 lanes of a batch — and
 //! the straight-line kernel (with its dirty-cone incremental path) must
-//! match the branchy interpreter across all 256 chunked lanes.
+//! match the branchy interpreter across all 256 chunked lanes, and at
+//! every shorter batch width.
 
 use mcfpga_fabric::array::{Dir, Sink, Source};
-use mcfpga_fabric::compiled::{CompiledFabric, LaneChunk, LANES, LANE_WORDS, MAX_LANES};
+use mcfpga_fabric::compiled::{
+    chunk_of_word, BoundPlan, CompiledFabric, CompiledState, LaneChunk, LANES, LANE_WORDS,
+    MAX_LANES,
+};
 use mcfpga_fabric::netlist_ir::{LogicNetlist, NodeId};
 use mcfpga_fabric::route::implement_netlist;
 use mcfpga_fabric::sim::evaluate_fixpoint;
@@ -56,6 +60,41 @@ fn fabric() -> Fabric {
 /// Random full-width lane chunk: one of 256 vectors per bit position.
 fn random_chunk(rng: &mut StdRng) -> LaneChunk {
     std::array::from_fn(|_| rng.random_range(0..u64::MAX))
+}
+
+/// Binds `ctx` and resolves its inputs from a name-keyed list.
+fn bind_named(
+    compiled: &CompiledFabric,
+    ctx: usize,
+    named: &[(&str, LaneChunk)],
+) -> (BoundPlan, Vec<LaneChunk>) {
+    let bound = compiled.bind(ctx).unwrap();
+    let chunks = bound
+        .resolve_inputs(|name| named.iter().find(|(n, _)| *n == name).map(|(_, c)| *c))
+        .unwrap();
+    (bound, chunks)
+}
+
+/// One full bound sweep on a fresh state: the outputs, named and sorted,
+/// plus the state.
+fn eval_sorted(
+    compiled: &CompiledFabric,
+    bound: &BoundPlan,
+    chunks: &[LaneChunk],
+    words: usize,
+) -> (Vec<(String, LaneChunk)>, CompiledState) {
+    let (mut st, mut outs) = (compiled.new_state(), Vec::new());
+    compiled
+        .eval_bound_into(bound, chunks, words, DIRTY_ALL, &mut st, &mut outs)
+        .unwrap();
+    let mut named: Vec<(String, LaneChunk)> = bound
+        .outputs()
+        .iter()
+        .zip(outs)
+        .map(|((_, n, _), c)| (n.to_string(), c))
+        .collect();
+    named.sort();
+    (named, st)
 }
 
 /// Overlay a two-tile combinational wire loop on free sinks of `ctx`,
@@ -117,14 +156,15 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(lane_seed);
         let lanes: Vec<u64> = (0..INPUTS).map(|_| rng.random_range(0..u64::MAX)).collect();
         let names: Vec<String> = (0..INPUTS).map(|i| format!("i{i}")).collect();
-        let batch: Vec<(&str, u64)> = names
+        let batch: Vec<(&str, LaneChunk)> = names
             .iter()
             .zip(&lanes)
-            .map(|(n, v)| (n.as_str(), *v))
+            .map(|(n, v)| (n.as_str(), chunk_of_word(*v)))
             .collect();
 
         for &ctx in &mapped {
-            let got = compiled.eval_batch_sorted(ctx, &batch).unwrap();
+            let (bound, chunks) = bind_named(&compiled, ctx, &batch);
+            let (got, _) = eval_sorted(&compiled, &bound, &chunks, 1);
             for lane in 0..LANES {
                 let scalar: Vec<(&str, bool)> = names
                     .iter()
@@ -138,7 +178,7 @@ proptest! {
                     prop_assert_eq!(&w.0, &g.0, "ctx {} lane {}", ctx, lane);
                     prop_assert_eq!(
                         w.1,
-                        (g.1 >> lane) & 1 == 1,
+                        (g.1[0] >> lane) & 1 == 1,
                         "output {} ctx {} lane {}",
                         w.0, ctx, lane
                     );
@@ -165,13 +205,14 @@ proptest! {
             .collect();
         let scalar_ref: Vec<(&str, bool)> =
             scalar.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        let batch: Vec<(&str, u64)> = scalar
+        let batch: Vec<(&str, LaneChunk)> = scalar
             .iter()
-            .map(|(n, v)| (n.as_str(), if *v { !0u64 } else { 0 }))
+            .map(|(n, v)| (n.as_str(), chunk_of_word(if *v { !0u64 } else { 0 })))
             .collect();
 
         let (_, want) = evaluate_fixpoint(&f, 0, &scalar_ref).unwrap();
-        let (_, got) = compiled.eval_batch(0, &batch).unwrap();
+        let (bound, chunks) = bind_named(&compiled, 0, &batch);
+        let (_, got) = eval_sorted(&compiled, &bound, &chunks, 1);
         let p = *f.params();
         for t in f.tiles() {
             prop_assert_eq!(
@@ -203,13 +244,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The straight-line kernel equals the branchy interpreter — and the
-    /// legacy fixpoint sweep — bit-for-bit across all 256 chunked lanes,
-    /// with and without stream-register (`reg:`) IO names.
+    /// legacy fixpoint sweep — bit-for-bit across every occupied chunked
+    /// lane at any batch width `words`, with and without stream-register
+    /// (`reg:`) IO names; lanes past `words` come back zero.
     #[test]
     fn kernel_matches_interpreter_and_fixpoint_across_chunked_lanes(
         seed in 0u64..5000,
         lane_seed in any::<u64>(),
         reg_io in any::<bool>(),
+        words in 1usize..=LANE_WORDS,
     ) {
         const INPUTS: usize = 4;
         let prefix = if reg_io { "reg:" } else { "" };
@@ -221,59 +264,40 @@ proptest! {
 
         let mut rng = StdRng::seed_from_u64(lane_seed);
         let names: Vec<String> = (0..INPUTS).map(|i| format!("{prefix}i{i}")).collect();
-        let chunks: Vec<LaneChunk> = names.iter().map(|_| random_chunk(&mut rng)).collect();
         let inputs: Vec<(&str, LaneChunk)> = names
             .iter()
-            .zip(&chunks)
-            .map(|(n, c)| (n.as_str(), *c))
+            .map(|n| (n.as_str(), random_chunk(&mut rng)))
             .collect();
-
-        let mut st_kernel = compiled.new_state();
-        let kernel_outs = compiled
-            .eval_chunks_into(0, &inputs, LANE_WORDS, &mut st_kernel)
-            .unwrap();
-        let mut st_ref = compiled.new_state();
-        let ref_outs = compiled
-            .eval_chunks_into_reference(0, &inputs, LANE_WORDS, &mut st_ref)
-            .unwrap();
-        prop_assert_eq!(&kernel_outs, &ref_outs, "kernel vs interpreter");
-
-        // the prebound path agrees too, and flags the reg-ness of the IO
-        let bound = compiled.bind(0).unwrap();
+        let (bound, chunks) = bind_named(&compiled, 0, &inputs);
+        // the bound plan flags the reg-ness of the IO
         for (_, name, is_reg) in bound.inputs().iter().chain(bound.outputs()) {
             prop_assert_eq!(*is_reg, reg_io, "reg flag of '{}'", name);
         }
-        let bound_chunks: Vec<LaneChunk> = bound
-            .inputs()
-            .iter()
-            .map(|(_, name, _)| {
-                inputs.iter().find(|(n, _)| *n == name.as_ref()).unwrap().1
-            })
-            .collect();
-        let mut st_bound = compiled.new_state();
-        let mut outs = Vec::new();
+
+        let mut st_kernel = compiled.new_state();
+        let mut kernel_outs = Vec::new();
         let stats = compiled
-            .eval_bound_into(&bound, &bound_chunks, LANE_WORDS, DIRTY_ALL, &mut st_bound, &mut outs)
+            .eval_bound_into(&bound, &chunks, words, DIRTY_ALL, &mut st_kernel, &mut kernel_outs)
             .unwrap();
         prop_assert!(stats.kernel);
         prop_assert_eq!(stats.ops_skipped, 0, "a DIRTY_ALL sweep skips nothing");
-        for ((_, name, _), chunk) in bound.outputs().iter().zip(&outs) {
-            let named = kernel_outs
-                .iter()
-                .find(|(n, _)| n == name.as_ref())
-                .unwrap();
-            prop_assert_eq!(&named.1, chunk, "bound output '{}'", name);
+        let mut st_ref = compiled.new_state();
+        let mut ref_outs = Vec::new();
+        compiled
+            .eval_bound_reference(&bound, &chunks, words, &mut st_ref, &mut ref_outs)
+            .unwrap();
+        prop_assert_eq!(&kernel_outs, &ref_outs, "kernel vs interpreter");
+        for chunk in &kernel_outs {
+            prop_assert!(chunk[words..].iter().all(|w| *w == 0), "lanes past words");
         }
 
-        // every one of the 256 lanes equals a scalar fixpoint evaluation
-        let mut want_sorted = kernel_outs.clone();
-        want_sorted.sort();
-        for lane in 0..MAX_LANES {
+        // every occupied lane equals a scalar fixpoint evaluation
+        let (want_sorted, _) = eval_sorted(&compiled, &bound, &chunks, words);
+        for lane in 0..words * 64 {
             let (word, bit) = (lane / 64, lane % 64);
-            let scalar: Vec<(&str, bool)> = names
+            let scalar: Vec<(&str, bool)> = inputs
                 .iter()
-                .zip(&chunks)
-                .map(|(n, c)| (n.as_str(), (c[word] >> bit) & 1 == 1))
+                .map(|(n, c)| (*n, (c[word] >> bit) & 1 == 1))
                 .collect();
             let (mut gold, _) = evaluate_fixpoint(&f, 0, &scalar).unwrap();
             gold.sort();
@@ -289,10 +313,9 @@ proptest! {
         }
     }
 
-    /// A cyclic plane compiles no kernel; `eval_chunks_into` falls back
-    /// to the interpreter and stays the bit-exact oracle, and the
-    /// prebound path reports a full non-kernel sweep regardless of the
-    /// dirty mask.
+    /// A cyclic plane compiles no kernel; `eval_bound_into` falls back
+    /// to the interpreter — ignoring the dirty mask, a full non-kernel
+    /// sweep — and stays bit-exact with the oracle and the fixpoint.
     #[test]
     fn cyclic_overlay_falls_back_to_the_interpreter(
         seed in 0u64..3000,
@@ -309,53 +332,36 @@ proptest! {
 
         let mut rng = StdRng::seed_from_u64(lane_seed);
         let names: Vec<String> = (0..INPUTS).map(|i| format!("i{i}")).collect();
-        let chunks: Vec<LaneChunk> = names.iter().map(|_| random_chunk(&mut rng)).collect();
         let inputs: Vec<(&str, LaneChunk)> = names
             .iter()
-            .zip(&chunks)
-            .map(|(n, c)| (n.as_str(), *c))
+            .map(|n| (n.as_str(), random_chunk(&mut rng)))
             .collect();
+        let (bound, chunks) = bind_named(&compiled, 0, &inputs);
 
         let mut st_a = compiled.new_state();
-        let got = compiled.eval_chunks_into(0, &inputs, LANE_WORDS, &mut st_a).unwrap();
-        let mut st_b = compiled.new_state();
-        let reference = compiled
-            .eval_chunks_into_reference(0, &inputs, LANE_WORDS, &mut st_b)
-            .unwrap();
-        prop_assert_eq!(&got, &reference);
-
-        let bound = compiled.bind(0).unwrap();
-        let bound_chunks: Vec<LaneChunk> = bound
-            .inputs()
-            .iter()
-            .map(|(_, name, _)| {
-                inputs.iter().find(|(n, _)| *n == name.as_ref()).unwrap().1
-            })
-            .collect();
-        let mut st_c = compiled.new_state();
-        let mut outs = Vec::new();
+        let mut got = Vec::new();
         // dirty = 0 is ignored off the kernel path: still a full sweep
         let stats = compiled
-            .eval_bound_into(&bound, &bound_chunks, LANE_WORDS, 0, &mut st_c, &mut outs)
+            .eval_bound_into(&bound, &chunks, LANE_WORDS, 0, &mut st_a, &mut got)
             .unwrap();
         prop_assert!(!stats.kernel);
         prop_assert_eq!(stats.ops_skipped, 0);
-        for ((_, name, _), chunk) in bound.outputs().iter().zip(&outs) {
-            let named = got.iter().find(|(n, _)| n == name.as_ref()).unwrap();
-            prop_assert_eq!(&named.1, chunk, "bound output '{}'", name);
-        }
+        let mut st_b = compiled.new_state();
+        let mut reference = Vec::new();
+        compiled
+            .eval_bound_reference(&bound, &chunks, LANE_WORDS, &mut st_b, &mut reference)
+            .unwrap();
+        prop_assert_eq!(&got, &reference);
 
+        let (got_sorted, _) = eval_sorted(&compiled, &bound, &chunks, LANE_WORDS);
         for lane in 0..MAX_LANES {
             let (word, bit) = (lane / 64, lane % 64);
-            let scalar: Vec<(&str, bool)> = names
+            let scalar: Vec<(&str, bool)> = inputs
                 .iter()
-                .zip(&chunks)
-                .map(|(n, c)| (n.as_str(), (c[word] >> bit) & 1 == 1))
+                .map(|(n, c)| (*n, (c[word] >> bit) & 1 == 1))
                 .collect();
             let (mut gold, _) = evaluate_fixpoint(&f, 0, &scalar).unwrap();
             gold.sort();
-            let mut got_sorted = got.clone();
-            got_sorted.sort();
             for (g, (name, chunk)) in gold.iter().zip(&got_sorted) {
                 prop_assert_eq!(&g.0, name);
                 prop_assert_eq!(
@@ -427,23 +433,15 @@ proptest! {
             prop_assert_eq!(&incremental, &outs, "round {}: partial vs cold", round);
 
             // oracle 2: the branchy reference interpreter
-            let named: Vec<(&str, LaneChunk)> = bound
-                .inputs()
-                .iter()
-                .zip(&chunks)
-                .map(|((_, n, _), c)| (n.as_ref(), *c))
-                .collect();
             let mut st_ref = compiled.new_state();
-            let reference = compiled
-                .eval_chunks_into_reference(0, &named, LANE_WORDS, &mut st_ref)
+            let mut reference = Vec::new();
+            compiled
+                .eval_bound_reference(&bound, &chunks, LANE_WORDS, &mut st_ref, &mut reference)
                 .unwrap();
-            for ((_, name, _), chunk) in bound.outputs().iter().zip(&incremental) {
-                let r = reference.iter().find(|(n, _)| n == name.as_ref()).unwrap();
-                prop_assert_eq!(
-                    &r.1, chunk,
-                    "round {}: output '{}' vs interpreter", round, name
-                );
-            }
+            prop_assert_eq!(
+                &reference, &incremental,
+                "round {}: partial vs interpreter", round
+            );
         }
     }
 }

@@ -17,12 +17,33 @@
 //! ```
 
 use mcfpga::core::ArchKind;
-use mcfpga::fabric::compiled::{pack_lanes, CompiledFabric, LANES};
+use mcfpga::fabric::compiled::{chunk_of_word, pack_lanes, CompiledFabric, DIRTY_ALL, LANES};
 use mcfpga::fabric::context::{run_schedule, ContextSequencer};
 use mcfpga::fabric::netlist_ir::generators;
 use mcfpga::fabric::route::implement_netlist;
 use mcfpga::fabric::{power, stats};
 use mcfpga::prelude::*;
+
+/// Runs context `ctx` on named 64-lane inputs: bind the plane, resolve
+/// the names to its input positions, evaluate word 0. Outputs come back
+/// in bind order.
+fn query(compiled: &CompiledFabric, ctx: usize, inputs: &[(&str, u64)]) -> Vec<(String, u64)> {
+    let bound = compiled.bind(ctx).expect("bind");
+    let chunks = bound
+        .resolve_inputs(|name| {
+            inputs
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| chunk_of_word(*v))
+        })
+        .expect("every input driven");
+    let (mut st, mut outs) = (compiled.new_state(), Vec::new());
+    compiled
+        .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+        .expect("eval");
+    let named = bound.outputs().iter().zip(outs);
+    named.map(|((_, n, _), c)| (n.to_string(), c[0])).collect()
+}
 
 fn main() {
     let mut fabric = Fabric::new(FabricParams {
@@ -55,62 +76,58 @@ fn main() {
     // Single queries through the batch engine (lane 0 carries the vector).
     println!("\ncycling contexts over shared input pads:");
 
-    let out = compiled
-        .eval_batch_sorted(
-            0,
-            &[
-                ("x0", u64::from(true)),
-                ("x1", u64::from(true)),
-                ("x2", u64::from(false)),
-                ("x3", u64::from(true)),
-            ],
-        )
-        .expect("parity");
+    let out = query(
+        &compiled,
+        0,
+        &[
+            ("x0", u64::from(true)),
+            ("x1", u64::from(true)),
+            ("x2", u64::from(false)),
+            ("x3", u64::from(true)),
+        ],
+    );
     println!("  ctx 0 parity(1101)   → {}", out[0].1 & 1 == 1);
 
-    let out = compiled
-        .eval_batch_sorted(
-            1,
-            &[
-                ("d0", u64::from(false)),
-                ("d1", u64::from(false)),
-                ("d2", u64::from(true)),
-                ("d3", u64::from(false)),
-                ("sel0", u64::from(false)),
-                ("sel1", u64::from(true)),
-            ],
-        )
-        .expect("mux");
+    let out = query(
+        &compiled,
+        1,
+        &[
+            ("d0", u64::from(false)),
+            ("d1", u64::from(false)),
+            ("d2", u64::from(true)),
+            ("d3", u64::from(false)),
+            ("sel0", u64::from(false)),
+            ("sel1", u64::from(true)),
+        ],
+    );
     println!("  ctx 1 mux(sel=2)     → {}", out[0].1 & 1 == 1);
 
-    let out = compiled
-        .eval_batch_sorted(
-            2,
-            &[
-                ("a0", u64::from(true)),
-                ("a1", u64::from(false)),
-                ("a2", u64::from(true)),
-                ("a3", u64::from(false)),
-                ("b0", u64::from(true)),
-                ("b1", u64::from(false)),
-                ("b2", u64::from(true)),
-                ("b3", u64::from(false)),
-            ],
-        )
-        .expect("compare");
+    let out = query(
+        &compiled,
+        2,
+        &[
+            ("a0", u64::from(true)),
+            ("a1", u64::from(false)),
+            ("a2", u64::from(true)),
+            ("a3", u64::from(false)),
+            ("b0", u64::from(true)),
+            ("b1", u64::from(false)),
+            ("b2", u64::from(true)),
+            ("b3", u64::from(false)),
+        ],
+    );
     println!("  ctx 2 eq(0b0101, 0b0101) → {}", out[0].1 & 1 == 1);
 
-    let out = compiled
-        .eval_batch_sorted(
-            3,
-            &[
-                ("x0", u64::from(true)),
-                ("x1", u64::from(true)),
-                ("x2", u64::from(true)),
-                ("x3", u64::from(false)),
-            ],
-        )
-        .expect("popcount");
+    let out = query(
+        &compiled,
+        3,
+        &[
+            ("x0", u64::from(true)),
+            ("x1", u64::from(true)),
+            ("x2", u64::from(true)),
+            ("x3", u64::from(false)),
+        ],
+    );
     let count = out.iter().fold(0u32, |acc, (n, v)| {
         if *v & 1 == 1 {
             acc | 1 << n.strip_prefix('c').unwrap().parse::<u32>().unwrap()
@@ -125,7 +142,7 @@ fn main() {
         .map(|i| (format!("x{i}"), pack_lanes(|v| v < 16 && (v >> i) & 1 == 1)))
         .collect();
     let ins: Vec<(&str, u64)> = lanes.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let batch = compiled.eval_batch_sorted(0, &ins).expect("batch parity");
+    let batch = query(&compiled, 0, &ins);
     println!(
         "\nbatch query: parity of all 16 vectors in one {LANES}-lane pass → {:#06x}",
         batch[0].1 & 0xFFFF

@@ -3,7 +3,7 @@
 //! golden netlist model and the reference fixpoint sweep.
 
 use mcfpga::core::ArchKind;
-use mcfpga::fabric::compiled::{pack_lanes, CompiledFabric, LANES};
+use mcfpga::fabric::compiled::{chunk_of_word, pack_lanes, CompiledFabric, DIRTY_ALL, LANES};
 use mcfpga::fabric::context::{replay_schedule, run_schedule, ContextSequencer};
 use mcfpga::fabric::netlist_ir::generators;
 use mcfpga::fabric::route::implement_netlist;
@@ -29,20 +29,24 @@ fn parity8_exhaustive_in_four_batches() {
     let mut f = fabric(4, 4, 3);
     implement_netlist(&mut f, &nl, 0, 11).unwrap();
     let compiled = CompiledFabric::compile(&f).unwrap();
+    let bound = compiled.bind(0).unwrap();
+    let (mut st, mut out) = (compiled.new_state(), Vec::new());
     for batch in 0..4u64 {
         // lane l carries vector 64*batch + l
-        let ins: Vec<(String, u64)> = (0..8)
-            .map(|i| {
+        let chunks = bound
+            .resolve_inputs(|name| {
+                let i: u64 = name.strip_prefix('x')?.parse().ok()?;
                 let lanes = pack_lanes(|l| ((batch * LANES as u64 + l as u64) >> i) & 1 == 1);
-                (format!("x{i}"), lanes)
+                Some(chunk_of_word(lanes))
             })
-            .collect();
-        let ins_ref: Vec<(&str, u64)> = ins.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        let out = compiled.eval_batch_sorted(0, &ins_ref).unwrap();
+            .unwrap();
+        compiled
+            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut out)
+            .unwrap();
         for l in 0..LANES as u64 {
             let v = batch * LANES as u64 + l;
             let want = (0..8).filter(|i| (v >> i) & 1 == 1).count() % 2 == 1;
-            assert_eq!((out[0].1 >> l) & 1 == 1, want, "vector {v}");
+            assert_eq!((out[0][0] >> l) & 1 == 1, want, "vector {v}");
         }
     }
 }
@@ -58,15 +62,27 @@ fn bitstream_roundtrip_preserves_compiled_behaviour() {
     let a = CompiledFabric::compile(&f).unwrap();
     let b = CompiledFabric::compile(&restored).unwrap();
     let names = ["a0", "a1", "b0", "b1", "cin"];
-    let ins: Vec<(&str, u64)> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (*n, 0xA5A5_5A5A_DEAD_BEEFu64.rotate_left(i as u32 * 7)))
-        .collect();
-    assert_eq!(
-        a.eval_batch_sorted(1, &ins).unwrap(),
-        b.eval_batch_sorted(1, &ins).unwrap()
-    );
+    let eval = |compiled: &CompiledFabric| {
+        let bound = compiled.bind(1).unwrap();
+        let chunks = bound
+            .resolve_inputs(|name| {
+                let i = names.iter().position(|n| *n == name)?;
+                Some(chunk_of_word(
+                    0xA5A5_5A5A_DEAD_BEEFu64.rotate_left(i as u32 * 7),
+                ))
+            })
+            .unwrap();
+        let (mut st, mut outs) = (compiled.new_state(), Vec::new());
+        compiled
+            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+            .unwrap();
+        let named = bound.outputs().iter().zip(outs);
+        let mut named: Vec<(String, u64)> =
+            named.map(|((_, n, _), c)| (n.to_string(), c[0])).collect();
+        named.sort();
+        named
+    };
+    assert_eq!(eval(&a), eval(&b));
 }
 
 /// Driving a schedule through compiled planes matches plain replay energy
