@@ -420,6 +420,20 @@ mod tests {
     }
 
     #[test]
+    fn bench_out_dir_honours_the_variable() {
+        let root = bench_out_dir(None);
+        assert!(
+            root.join("Cargo.toml").is_file(),
+            "{root:?} is the repo root"
+        );
+        assert_eq!(bench_out_dir(Some("".into())), root);
+        assert_eq!(
+            bench_out_dir(Some("out/bench".into())),
+            std::path::PathBuf::from("out/bench")
+        );
+    }
+
+    #[test]
     fn table_reports_show_exact_match() {
         let t1 = table1_report();
         assert!(t1.contains("| SRAM-based one | 31 | 31 |"));
@@ -540,24 +554,43 @@ pub fn provenance_fields() -> Vec<(String, BenchValue)> {
     ]
 }
 
-/// Writes `BENCH_<name>.json` to the repository root so the perf
-/// trajectory of every gated benchmark is tracked in-tree. Returns the
-/// path written. Fields keep insertion order; values follow
-/// [`BenchValue`]'s JSON mapping. The [`provenance_fields`] are appended
-/// automatically (callers' own fields win on key collision — the
-/// appended ones are skipped).
+/// Directory `BENCH_*.json` artifacts go to: `MCFPGA_BENCH_OUT_DIR` when
+/// set and non-empty, otherwise the repository root.
+fn bench_out_dir(var: Option<std::ffi::OsString>) -> std::path::PathBuf {
+    match var {
+        Some(dir) if !dir.is_empty() => dir.into(),
+        // CARGO_MANIFEST_DIR is crates/bench at compile time; the repo root
+        // is two levels up — stable regardless of the bench's working dir
+        _ => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crates/bench sits two levels below the repo root")
+            .to_path_buf(),
+    }
+}
+
+/// Writes `BENCH_<name>.json` so the perf trajectory of every gated
+/// benchmark is tracked in-tree. Returns the path written. Fields keep
+/// insertion order; values follow [`BenchValue`]'s JSON mapping. The
+/// [`provenance_fields`] are appended automatically (callers' own fields
+/// win on key collision — the appended ones are skipped).
+///
+/// The file goes to the directory named by the `MCFPGA_BENCH_OUT_DIR`
+/// environment variable (created if missing), so a local or copied-tree
+/// run can keep the committed artifacts untouched:
+///
+/// ```text
+/// MCFPGA_BENCH_OUT_DIR=/tmp/bench cargo bench -p mcfpga-bench --bench eval_kernel
+/// ```
+///
+/// Unset or empty, it is the repository root this crate was compiled in.
 pub fn write_bench_json<K: AsRef<str>>(
     name: &str,
     fields: &[(K, BenchValue)],
 ) -> std::io::Result<std::path::PathBuf> {
-    // CARGO_MANIFEST_DIR is crates/bench at compile time; the repo root
-    // is two levels up — stable regardless of the bench's working dir
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the repo root")
-        .to_path_buf();
-    let path = root.join(format!("BENCH_{name}.json"));
+    let dir = bench_out_dir(std::env::var_os("MCFPGA_BENCH_OUT_DIR"));
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("BENCH_{name}.json"));
     let mut all: Vec<(String, BenchValue)> = fields
         .iter()
         .map(|(k, v)| (k.as_ref().to_string(), v.clone()))

@@ -35,6 +35,17 @@ impl Dir {
     /// All directions in a fixed order.
     pub const ALL: [Dir; 4] = [Dir::North, Dir::East, Dir::South, Dir::West];
 
+    /// Position in [`Dir::ALL`].
+    #[must_use]
+    pub fn index(self) -> usize {
+        match self {
+            Dir::North => 0,
+            Dir::East => 1,
+            Dir::South => 2,
+            Dir::West => 3,
+        }
+    }
+
     /// The opposite direction.
     #[must_use]
     pub fn opposite(self) -> Dir {
@@ -291,16 +302,61 @@ impl Fabric {
         Self::sinks_static(&self.params, t)
     }
 
+    /// Directions in which `t` has a neighbour, and so wires, in crossbar
+    /// order.
+    fn wire_dirs(&self, t: TileCoord) -> impl Iterator<Item = Dir> + '_ {
+        Dir::ALL
+            .into_iter()
+            .filter(move |&d| Self::has_neighbor(&self.params, t, d))
+    }
+
+    /// Crossbar position of wire `w` toward `dir` at `t` (rows and columns
+    /// order wires alike), if that wire exists.
+    fn wire_position(&self, t: TileCoord, dir: Dir, w: usize) -> Option<usize> {
+        let cw = self.params.channel_width;
+        let d = self.wire_dirs(t).position(|d| d == dir)?;
+        (w < cw).then_some(d * cw + w)
+    }
+
+    /// Wire rows of `t`'s crossbar (wire columns are as many).
+    fn wire_count(&self, t: TileCoord) -> usize {
+        self.wire_dirs(t).count() * self.params.channel_width
+    }
+
     /// Index of a source within `t`'s row list.
     #[must_use]
     pub fn source_index(&self, t: TileCoord, s: Source) -> Option<usize> {
-        self.sources(t).iter().position(|&x| x == s)
+        match s {
+            Source::WireFrom { dir, w } => self.wire_position(t, dir, w),
+            Source::LutOut => Some(self.wire_count(t)),
+            Source::IoIn(i) => (i < self.params.io_in).then(|| self.wire_count(t) + 1 + i),
+        }
     }
 
     /// Index of a sink within `t`'s column list.
     #[must_use]
     pub fn sink_index(&self, t: TileCoord, s: Sink) -> Option<usize> {
-        self.sinks(t).iter().position(|&x| x == s)
+        let p = &self.params;
+        match s {
+            Sink::WireTo { dir, w } => self.wire_position(t, dir, w),
+            Sink::LutIn(pin) => (pin < p.lut_k).then(|| self.wire_count(t) + pin),
+            Sink::IoOut(i) => (i < p.io_out).then(|| self.wire_count(t) + p.lut_k + i),
+        }
+    }
+
+    /// The source at row `idx` of `t`'s crossbar (inverse of
+    /// [`Fabric::source_index`]).
+    fn source_at(&self, t: TileCoord, idx: usize) -> Option<Source> {
+        let cw = self.params.channel_width;
+        let wires = self.wire_count(t);
+        if idx < wires {
+            let dir = self.wire_dirs(t).nth(idx / cw)?;
+            Some(Source::WireFrom { dir, w: idx % cw })
+        } else if idx == wires {
+            Some(Source::LutOut)
+        } else {
+            (idx - wires - 1 < self.params.io_in).then(|| Source::IoIn(idx - wires - 1))
+        }
     }
 
     /// Sets (or clears) the driver of a sink in one context.
@@ -341,7 +397,10 @@ impl Fabric {
             .sink_index(t, sink)
             .ok_or(FabricError::BadTile { x: t.x, y: t.y })?;
         let i = self.tile_index(t)?;
-        Ok(self.tiles[i].sb[ctx][sink_idx].map(|si| self.sources(t)[si as usize]))
+        Ok(self.tiles[i].sb[ctx][sink_idx].map(|si| {
+            self.source_at(t, si as usize)
+                .expect("configured rows index the crossbar")
+        }))
     }
 
     /// Binds an external input port to a named signal in one context.
@@ -575,6 +634,58 @@ mod tests {
         assert_eq!(f.route_of(t, 2, sink).unwrap(), None);
         f.set_route(t, 3, sink, None).unwrap();
         assert_eq!(f.route_of(t, 3, sink).unwrap(), None);
+    }
+
+    #[test]
+    fn crossbar_indices_follow_list_order() {
+        for (w, h, cw) in [(1, 1, 1), (3, 2, 2), (4, 5, 3)] {
+            let f = Fabric::new(FabricParams {
+                width: w,
+                height: h,
+                channel_width: cw,
+                io_in: 3,
+                io_out: 1,
+                ..FabricParams::default()
+            })
+            .unwrap();
+            for t in f.tiles() {
+                for (i, s) in f.sources(t).into_iter().enumerate() {
+                    assert_eq!(f.source_index(t, s), Some(i), "{t} {s:?}");
+                    assert_eq!(f.source_at(t, i), Some(s), "{t} row {i}");
+                }
+                let rows = f.sources(t).len();
+                assert_eq!(f.source_at(t, rows), None);
+                for (i, s) in f.sinks(t).into_iter().enumerate() {
+                    assert_eq!(f.sink_index(t, s), Some(i), "{t} {s:?}");
+                }
+                for absent in [
+                    Source::IoIn(3),
+                    Source::WireFrom {
+                        dir: Dir::East,
+                        w: cw,
+                    },
+                ] {
+                    assert_eq!(f.source_index(t, absent), None);
+                }
+                for absent in [
+                    Sink::LutIn(4),
+                    Sink::IoOut(1),
+                    Sink::WireTo {
+                        dir: Dir::South,
+                        w: cw,
+                    },
+                ] {
+                    assert_eq!(f.sink_index(t, absent), None);
+                }
+            }
+            // no wires leave the grid
+            let corner = TileCoord { x: 0, y: 0 };
+            let off = Sink::WireTo {
+                dir: Dir::North,
+                w: 0,
+            };
+            assert_eq!(f.sink_index(corner, off), None);
+        }
     }
 
     #[test]

@@ -454,15 +454,6 @@ pub struct ResourceLayout {
     per_tile: usize,
 }
 
-fn dir_index(dir: Dir) -> usize {
-    match dir {
-        Dir::North => 0,
-        Dir::East => 1,
-        Dir::South => 2,
-        Dir::West => 3,
-    }
-}
-
 impl ResourceLayout {
     fn new(p: &FabricParams) -> Self {
         ResourceLayout {
@@ -482,7 +473,7 @@ impl ResourceLayout {
     /// Id of the outgoing wire `(t, dir, w)`.
     #[must_use]
     pub fn wire(&self, t: TileCoord, dir: Dir, w: usize) -> ResourceId {
-        (self.tile_base(t) + dir_index(dir) * self.channel_width + w) as ResourceId
+        (self.tile_base(t) + dir.index() * self.channel_width + w) as ResourceId
     }
 
     /// Id of the LUT output of `t`.

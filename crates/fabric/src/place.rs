@@ -3,6 +3,17 @@
 //! Cost = total half-perimeter wirelength over nets (each LUT's fanin edges,
 //! with primary inputs ignored since their sites are chosen later). One LUT
 //! per tile per context.
+//!
+//! The annealer works on dense indices. LUT `i` is the `i`-th id of
+//! [`LogicNetlist::lut_ids`]; its tile is `pos[i]`, and `occupant[tile]`
+//! (row-major tile number) names the LUT on a tile, if any. A move draws a
+//! LUT and a tile, swaps the LUT onto the tile (and the tile's occupant onto
+//! the vacated one), and sums its cost delta over the edges incident to the
+//! one or two LUTs that moved; a swapped pair's shared edges keep their
+//! length. Placement is a pure function of `(netlist, params, seed)`: the
+//! RNG draws, their order and the Metropolis test
+//! `delta <= 0 || u < exp(-delta / temp)` are fixed, so one seed names one
+//! placement on every run and host.
 
 use crate::array::{FabricParams, TileCoord};
 use crate::netlist_ir::{LogicNetlist, Node, NodeId};
@@ -11,6 +22,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
+
+/// No LUT: a primary input in the dense map, a free tile in `occupant`.
+const NONE: usize = usize::MAX;
+
+fn manhattan(a: TileCoord, b: TileCoord) -> usize {
+    a.x.abs_diff(b.x) + a.y.abs_diff(b.y)
+}
 
 /// Places every LUT node of `netlist` on a distinct tile.
 pub fn place_luts(
@@ -35,73 +53,92 @@ pub fn place_luts(
         })
         .collect();
     tiles.shuffle(&mut rng);
-    let mut pos: HashMap<NodeId, TileCoord> = luts
-        .iter()
-        .zip(tiles.iter())
-        .map(|(n, t)| (*n, *t))
-        .collect();
+    let mut pos: Vec<TileCoord> = tiles[..luts.len()].to_vec();
+    let placement = |pos: &[TileCoord]| luts.iter().copied().zip(pos.iter().copied()).collect();
 
     if luts.len() <= 1 {
-        return Ok(pos);
+        return Ok(placement(&pos));
     }
 
-    // edges between placeable nodes
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    for id in &luts {
+    // dense LUT number of every node
+    let mut dense = vec![NONE; netlist.nodes().len()];
+    for (i, id) in luts.iter().enumerate() {
+        dense[id.0] = i;
+    }
+    // edges between placeable nodes and, per LUT, the other end of each of
+    // its edges
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); luts.len()];
+    for (i, id) in luts.iter().enumerate() {
         if let Node::Lut { fanin, .. } = netlist.node(*id) {
             for f in fanin {
-                if matches!(netlist.node(*f), Node::Lut { .. }) {
-                    edges.push((*f, *id));
+                let j = dense[f.0];
+                if j != NONE {
+                    edges.push((j, i));
+                    adj[i].push(j);
+                    adj[j].push(i);
                 }
             }
         }
     }
-    let cost = |pos: &HashMap<NodeId, TileCoord>| -> usize {
-        edges
+    let cost = |pos: &[TileCoord]| -> usize {
+        edges.iter().map(|&(a, b)| manhattan(pos[a], pos[b])).sum()
+    };
+    // length of the edges at `a`, less those to `skip`
+    let incident = |pos: &[TileCoord], a: usize, skip: usize| -> usize {
+        adj[a]
             .iter()
-            .map(|(a, b)| {
-                let (ta, tb) = (pos[a], pos[b]);
-                ta.x.abs_diff(tb.x) + ta.y.abs_diff(tb.y)
-            })
+            .filter(|&&n| n != skip)
+            .map(|&n| manhattan(pos[a], pos[n]))
             .sum()
     };
+    // cost of the edges touching `a` or `b` (an `a`–`b` edge is skipped:
+    // swapping the pair keeps its length)
+    let moved = |pos: &[TileCoord], a: usize, b: usize| -> usize {
+        incident(pos, a, b) + if b == NONE { 0 } else { incident(pos, b, a) }
+    };
+    let tile_of = |t: TileCoord| t.y * params.width + t.x;
+    let mut occupant = vec![NONE; capacity];
+    for (i, t) in pos.iter().enumerate() {
+        occupant[tile_of(*t)] = i;
+    }
 
     let mut cur_cost = cost(&pos);
     let mut temp = 2.0 * (cur_cost.max(1) as f64) / edges.len().max(1) as f64;
     let moves_per_temp = 16 * luts.len();
-    let occupied: Vec<NodeId> = luts.clone();
     while temp > 0.01 {
         for _ in 0..moves_per_temp {
             // swap a LUT with another LUT's tile or a free tile
-            let a = occupied[rng.random_range(0..occupied.len())];
+            let a = rng.random_range(0..luts.len());
             let target_tile = tiles[rng.random_range(0..tiles.len())];
-            let b = pos
-                .iter()
-                .find(|(_, t)| **t == target_tile)
-                .map(|(n, _)| *n);
-            if b == Some(a) {
+            let b = occupant[tile_of(target_tile)];
+            if b == a {
                 continue;
             }
-            let old_a = pos[&a];
-            pos.insert(a, target_tile);
-            if let Some(b) = b {
-                pos.insert(b, old_a);
+            let old_a = pos[a];
+            let before = moved(&pos, a, b);
+            pos[a] = target_tile;
+            if b != NONE {
+                pos[b] = old_a;
             }
-            let new_cost = cost(&pos);
+            let new_cost = cur_cost - before + moved(&pos, a, b);
             let delta = new_cost as f64 - cur_cost as f64;
             let accept = delta <= 0.0 || rng.random_range(0.0..1.0) < (-delta / temp).exp();
             if accept {
                 cur_cost = new_cost;
+                occupant[tile_of(target_tile)] = a;
+                occupant[tile_of(old_a)] = b;
             } else {
-                pos.insert(a, old_a);
-                if let Some(b) = b {
-                    pos.insert(b, target_tile);
+                pos[a] = old_a;
+                if b != NONE {
+                    pos[b] = target_tile;
                 }
             }
         }
+        debug_assert_eq!(cur_cost, cost(&pos), "incremental cost drifted");
         temp *= 0.8;
     }
-    Ok(pos)
+    Ok(placement(&pos))
 }
 
 #[cfg(test)]

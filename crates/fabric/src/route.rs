@@ -1,7 +1,22 @@
 //! Maze routing through the multi-context switch blocks, and the full
 //! netlist→fabric mapping flow for one context.
+//!
+//! The [`Router`] numbers every [`RRNode`] of the fabric's geometry once
+//! (wires, LUT input pins, IO outputs, LUT outputs, IO inputs — each range
+//! tile-major) and holds occupancy, visit stamps and search predecessors in
+//! flat vectors that every net of one [`implement_netlist`] call reuses; a
+//! search enumerates a site's sinks from the geometry rather than from a
+//! per-expansion list.
+//!
+//! Routing is deterministic: a breadth-first search starts from the net's
+//! source and then from the wires the net already owns, **in the order it
+//! claimed them**, and expands each site's sinks in crossbar column order.
+//! With the seeded annealer of [`crate::place`], the configuration written
+//! is a pure function of `(netlist, geometry, ctx, seed)`, which is what
+//! lets a cold node re-route a checkpointed design to the same
+//! [`Fabric::context_digest`].
 
-use crate::array::{Dir, Fabric, Sink, Source, TileCoord};
+use crate::array::{Dir, Fabric, FabricParams, Sink, Source, TileCoord};
 use crate::netlist_ir::{LogicNetlist, Node, NodeId};
 use crate::place::place_luts;
 use crate::FabricError;
@@ -48,36 +63,181 @@ pub enum RRNode {
     },
 }
 
-impl RRNode {
-    /// The tile at which this node can act as a crossbar **source**.
-    fn source_site(&self, fabric: &Fabric) -> Option<TileCoord> {
-        match *self {
-            RRNode::Wire { tile, dir, .. } => fabric.neighbor(tile, dir),
-            RRNode::LutOut { tile } => Some(tile),
-            RRNode::IoIn { tile, .. } => Some(tile),
-            _ => None,
+/// Dense numbering of every [`RRNode`] of one fabric geometry.
+///
+/// Ranges, each tile-major (row-major tile number `t`):
+/// wires `[t][dir][w]` (`Dir::ALL` order, off-grid directions included but
+/// never reached), LUT input pins `[t][pin]`, IO outputs `[t][port]` — the
+/// sink-capable nodes — then LUT outputs `[t]` and IO inputs `[t][port]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct RRIndex {
+    width: usize,
+    height: usize,
+    cw: usize,
+    k: usize,
+    io_in: usize,
+    io_out: usize,
+}
+
+impl RRIndex {
+    fn of(p: &FabricParams) -> Self {
+        RRIndex {
+            width: p.width,
+            height: p.height,
+            cw: p.channel_width,
+            k: p.lut_k,
+            io_in: p.io_in,
+            io_out: p.io_out,
         }
     }
 
-    /// The crossbar `Source` this node presents at its source site.
-    fn as_source(&self, site: TileCoord) -> Source {
-        match *self {
-            RRNode::Wire { dir, w, .. } => Source::WireFrom {
-                dir: dir.opposite(),
-                w,
-            },
-            RRNode::LutOut { .. } => Source::LutOut,
-            RRNode::IoIn { port, .. } => Source::IoIn(port),
-            _ => unreachable!("sink nodes are not sources at {site}"),
+    fn tiles(&self) -> usize {
+        self.width * self.height
+    }
+
+    fn pin_base(&self) -> usize {
+        self.tiles() * 4 * self.cw
+    }
+
+    fn io_out_base(&self) -> usize {
+        self.pin_base() + self.tiles() * self.k
+    }
+
+    fn lut_out_base(&self) -> usize {
+        self.io_out_base() + self.tiles() * self.io_out
+    }
+
+    fn io_in_base(&self) -> usize {
+        self.lut_out_base() + self.tiles()
+    }
+
+    fn len(&self) -> usize {
+        self.io_in_base() + self.tiles() * self.io_in
+    }
+
+    fn coord(&self, t: usize) -> TileCoord {
+        TileCoord {
+            x: t % self.width,
+            y: t / self.width,
+        }
+    }
+
+    /// The index of `n`, or `None` if it lies outside the geometry.
+    fn index(&self, n: &RRNode) -> Option<usize> {
+        let tile =
+            |t: TileCoord| (t.x < self.width && t.y < self.height).then(|| t.y * self.width + t.x);
+        let below = |i: usize, n: usize| (i < n).then_some(i);
+        Some(match *n {
+            RRNode::Wire { tile: t, dir, w } => {
+                (tile(t)? * 4 + dir.index()) * self.cw + below(w, self.cw)?
+            }
+            RRNode::LutIn { tile: t, pin } => {
+                self.pin_base() + tile(t)? * self.k + below(pin, self.k)?
+            }
+            RRNode::IoOut { tile: t, port } => {
+                self.io_out_base() + tile(t)? * self.io_out + below(port, self.io_out)?
+            }
+            RRNode::LutOut { tile: t } => self.lut_out_base() + tile(t)?,
+            RRNode::IoIn { tile: t, port } => {
+                self.io_in_base() + tile(t)? * self.io_in + below(port, self.io_in)?
+            }
+        })
+    }
+
+    /// The neighbour of tile `t` toward `dir`, if on the grid.
+    fn neighbor(&self, t: usize, dir: usize) -> Option<usize> {
+        let (x, y) = (t % self.width, t / self.width);
+        match dir {
+            0 => (y > 0).then(|| t - self.width),
+            1 => (x + 1 < self.width).then(|| t + 1),
+            2 => (y + 1 < self.height).then(|| t + self.width),
+            _ => (x > 0).then(|| t - 1),
+        }
+    }
+
+    /// The tile at which node `i` can act as a crossbar **source**.
+    fn source_site(&self, i: usize) -> Option<usize> {
+        if i < self.pin_base() {
+            self.neighbor(i / (4 * self.cw), i / self.cw % 4)
+        } else if i < self.lut_out_base() {
+            None
+        } else if i < self.io_in_base() {
+            Some(i - self.lut_out_base())
+        } else {
+            Some((i - self.io_in_base()) / self.io_in)
+        }
+    }
+
+    /// The crossbar `Source` node `i` presents at its source site.
+    fn as_source(&self, i: usize) -> Source {
+        if i < self.pin_base() {
+            Source::WireFrom {
+                dir: Dir::ALL[i / self.cw % 4].opposite(),
+                w: i % self.cw,
+            }
+        } else if i < self.io_in_base() {
+            debug_assert!(i >= self.lut_out_base(), "sink nodes are not sources");
+            Source::LutOut
+        } else {
+            Source::IoIn((i - self.io_in_base()) % self.io_in)
+        }
+    }
+
+    /// The crossbar `Sink` a sink-capable node `i` occupies.
+    fn as_sink(&self, i: usize) -> Sink {
+        if i < self.pin_base() {
+            Sink::WireTo {
+                dir: Dir::ALL[i / self.cw % 4],
+                w: i % self.cw,
+            }
+        } else if i < self.io_out_base() {
+            Sink::LutIn((i - self.pin_base()) % self.k)
+        } else {
+            debug_assert!(i < self.lut_out_base(), "sources cannot be sinks");
+            Sink::IoOut((i - self.io_out_base()) % self.io_out)
+        }
+    }
+
+    /// The tile hosting sink-capable node `i` when it is a pin (a LUT
+    /// input or IO output), else `None`.
+    fn pin_site(&self, i: usize) -> Option<usize> {
+        if i < self.pin_base() || i >= self.lut_out_base() {
+            None
+        } else if i < self.io_out_base() {
+            Some((i - self.pin_base()) / self.k)
+        } else {
+            Some((i - self.io_out_base()) / self.io_out)
         }
     }
 }
 
+/// Not visited / no owner.
+const NONE: usize = usize::MAX;
+
 /// Per-context router: owns sink occupancy so nets cannot collide.
+///
+/// Every resource is a dense `RRIndex` number, and occupancy, visit
+/// stamps and predecessors are flat vectors sized on the first route and
+/// reused by every later one. The vectors are tied to that first fabric's
+/// geometry; routing into a differently shaped fabric is an error.
 #[derive(Debug, Default)]
 pub struct Router {
-    /// sink-capable resource → owning net.
-    occupancy: HashMap<RRNode, usize>,
+    index: RRIndex,
+    /// Owning net of each sink-capable resource (`None` = free).
+    occupancy: Vec<Option<usize>>,
+    /// Wires each net owns, in claim order: the start set of its next
+    /// branch search, visited in this fixed order.
+    owned: HashMap<usize, Vec<usize>>,
+    /// `seen[i] == epoch` marks `i` visited by the current search.
+    seen: Vec<u32>,
+    epoch: u32,
+    /// Search predecessor of each visited resource (`NONE` for a start).
+    pred: Vec<usize>,
+    queue: VecDeque<usize>,
+    /// Source site of each resource (`NONE` for pins and off-grid wires).
+    site: Vec<usize>,
+    /// Per tile, bit `d` set when a neighbour lies toward `Dir::ALL[d]`.
+    exits: Vec<u8>,
 }
 
 impl Router {
@@ -90,14 +250,40 @@ impl Router {
     /// Owner of a resource, if claimed.
     #[must_use]
     pub fn owner(&self, n: &RRNode) -> Option<usize> {
-        self.occupancy.get(n).copied()
+        self.occupancy.get(self.index.index(n)?).copied().flatten()
+    }
+
+    /// Sizes the flat state for `fabric` on first use.
+    fn bind(&mut self, fabric: &Fabric) -> Result<(), FabricError> {
+        let index = RRIndex::of(fabric.params());
+        if self.occupancy.is_empty() {
+            let n = index.len();
+            self.index = index;
+            self.occupancy = vec![None; n];
+            self.seen = vec![0; n];
+            self.pred = vec![NONE; n];
+            self.site = (0..n)
+                .map(|i| index.source_site(i).unwrap_or(NONE))
+                .collect();
+            self.exits = (0..index.tiles())
+                .map(|t| (0..4).fold(0, |m, d| m | u8::from(index.neighbor(t, d).is_some()) << d))
+                .collect();
+        } else if index != self.index {
+            return Err(FabricError::BadParams(
+                "router reused on a fabric of another geometry".into(),
+            ));
+        }
+        Ok(())
     }
 
     /// Routes `net` from `source` to `target`, writing switch configuration
     /// into `fabric` for context `ctx`. Returns the number of new hops.
     ///
     /// Wires already owned by the same net are free branch points (fanout
-    /// from one crossbar row to many columns).
+    /// from one crossbar row to many columns). The breadth-first search
+    /// starts from the source, then from the net's wires in claim order,
+    /// and expands each site's sinks in crossbar column order, so the route
+    /// found is a pure function of the calls made so far.
     pub fn route(
         &mut self,
         fabric: &mut Fabric,
@@ -106,76 +292,88 @@ impl Router {
         source: RRNode,
         target: RRNode,
     ) -> Result<usize, FabricError> {
-        let mut pred: HashMap<RRNode, RRNode> = HashMap::new();
-        let mut queue: VecDeque<RRNode> = VecDeque::new();
+        self.bind(fabric)?;
+        let failed = || FabricError::RoutingFailed {
+            net: format!("net {net} to {target:?}"),
+            ctx,
+        };
+        let ix = self.index;
+        let (Some(src), Some(dst)) = (ix.index(&source), ix.index(&target)) else {
+            return Err(failed());
+        };
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.queue.clear();
         // start set: the source plus every wire this net already owns
-        queue.push_back(source);
-        for (node, owner) in &self.occupancy {
-            if *owner == net && matches!(node, RRNode::Wire { .. }) {
-                queue.push_back(*node);
+        let owned = self.owned.get(&net).map_or(&[][..], Vec::as_slice);
+        for &i in std::iter::once(&src).chain(owned) {
+            if self.seen[i] != epoch {
+                self.seen[i] = epoch;
+                self.pred[i] = NONE;
+                self.queue.push_back(i);
             }
         }
-        let mut seen: HashMap<RRNode, ()> = queue.iter().map(|n| (*n, ())).collect();
+        // a pin target follows its tile's wires in column order, so it is
+        // reached by the first expansion at that tile that finds it free
+        let dst_site = ix.pin_site(dst).unwrap_or(NONE);
+        let taken = |owner: Option<usize>| matches!(owner, Some(o) if o != net);
         let mut found = false;
-        while let Some(cur) = queue.pop_front() {
-            let Some(site) = cur.source_site(fabric) else {
+        'search: while let Some(cur) = self.queue.pop_front() {
+            let site = self.site[cur];
+            if site == NONE {
                 continue;
-            };
-            for sink in fabric.sinks(site) {
-                let cand = match sink {
-                    Sink::WireTo { dir, w } => RRNode::Wire { tile: site, dir, w },
-                    Sink::LutIn(pin) => RRNode::LutIn { tile: site, pin },
-                    Sink::IoOut(port) => RRNode::IoOut { tile: site, port },
-                };
-                if seen.contains_key(&cand) {
-                    continue;
-                }
-                match self.occupancy.get(&cand) {
-                    Some(owner) if *owner != net => continue, // taken by another net
-                    _ => {}
-                }
-                if cand == target {
-                    pred.insert(cand, cur);
-                    found = true;
-                    queue.clear();
-                    break;
-                }
-                // only wires continue the search; pin sinks are terminal
-                if matches!(cand, RRNode::Wire { .. }) {
-                    seen.insert(cand, ());
-                    pred.insert(cand, cur);
-                    queue.push_back(cand);
-                }
             }
-            if found {
+            if site == dst_site && self.seen[dst] != epoch && !taken(self.occupancy[dst]) {
+                self.seen[dst] = epoch;
+                self.pred[dst] = cur;
+                found = true;
                 break;
+            }
+            // only wires continue the search; pin sinks are terminal
+            let exits = self.exits[site];
+            for d in (0..4).filter(|d| exits >> d & 1 == 1) {
+                let base = (site * 4 + d) * ix.cw;
+                for cand in base..base + ix.cw {
+                    if self.seen[cand] == epoch || taken(self.occupancy[cand]) {
+                        continue;
+                    }
+                    self.seen[cand] = epoch;
+                    self.pred[cand] = cur;
+                    if cand == dst {
+                        found = true;
+                        break 'search;
+                    }
+                    self.queue.push_back(cand);
+                }
             }
         }
         if !found {
-            return Err(FabricError::RoutingFailed {
-                net: format!("net {net} to {target:?}"),
-                ctx,
-            });
+            return Err(failed());
         }
         // walk back, writing configuration for hops not yet owned
         let mut hops = 0;
-        let mut cur = target;
-        while let Some(&prev) = pred.get(&cur) {
-            if self.occupancy.get(&cur) != Some(&net) {
-                let site = prev
-                    .source_site(fabric)
-                    .expect("prev expanded from a source site");
-                let sink = match cur {
-                    RRNode::Wire { dir, w, .. } => Sink::WireTo { dir, w },
-                    RRNode::LutIn { pin, .. } => Sink::LutIn(pin),
-                    RRNode::IoOut { port, .. } => Sink::IoOut(port),
-                    _ => unreachable!("sources cannot be sinks"),
-                };
-                fabric.set_route(site, ctx, sink, Some(prev.as_source(site)))?;
-                self.occupancy.insert(cur, net);
+        let mut cur = dst;
+        while self.pred[cur] != NONE {
+            let prev = self.pred[cur];
+            if self.occupancy[cur] != Some(net) {
+                let site = self.site[prev];
+                fabric.set_route(
+                    ix.coord(site),
+                    ctx,
+                    ix.as_sink(cur),
+                    Some(ix.as_source(prev)),
+                )?;
+                self.occupancy[cur] = Some(net);
+                if cur < ix.pin_base() {
+                    self.owned.entry(net).or_default().push(cur);
+                }
                 hops += 1;
             }
-            if cur == source {
+            if cur == src {
                 break;
             }
             cur = prev;
@@ -244,7 +442,8 @@ pub fn implement_netlist(
 
     // ---- assign primary inputs to IoIn ports, round-robin over tiles ----
     let tiles: Vec<TileCoord> = fabric.tiles().collect();
-    let mut in_ports_free: HashMap<TileCoord, usize> = HashMap::new();
+    // ports used so far on each tile (row-major tile number)
+    let mut in_ports_used = vec![0usize; tiles.len()];
     let mut input_sites: HashMap<NodeId, (TileCoord, usize)> = HashMap::new();
     let mut inputs = Vec::new();
     let mut tile_cursor = 0usize;
@@ -255,9 +454,9 @@ pub fn implement_netlist(
         // find next tile with a free input port
         let mut assigned = None;
         for _ in 0..tiles.len() {
-            let t = tiles[tile_cursor % tiles.len()];
+            let i = tile_cursor % tiles.len();
             tile_cursor += 1;
-            let used = in_ports_free.entry(t).or_insert(0);
+            let (t, used) = (tiles[i], &mut in_ports_used[i]);
             if *used < params.io_in {
                 assigned = Some((t, *used));
                 *used += 1;
@@ -317,7 +516,7 @@ pub fn implement_netlist(
     }
 
     // ---- primary outputs: claim an IoOut near the driver ----
-    let mut out_ports_free: HashMap<TileCoord, usize> = HashMap::new();
+    let mut out_ports_used = vec![0usize; tiles.len()];
     let mut outputs = Vec::new();
     for (name, driver) in netlist.outputs() {
         let prefer = match netlist.node(*driver) {
@@ -325,11 +524,11 @@ pub fn implement_netlist(
             Node::Input { .. } => input_sites[driver].0,
         };
         // scan tiles by manhattan distance from the driver for a free port
-        let mut order: Vec<TileCoord> = tiles.clone();
-        order.sort_by_key(|t| t.x.abs_diff(prefer.x) + t.y.abs_diff(prefer.y));
+        let mut order: Vec<usize> = (0..tiles.len()).collect();
+        order.sort_by_key(|&i| tiles[i].x.abs_diff(prefer.x) + tiles[i].y.abs_diff(prefer.y));
         let mut routed = false;
-        for t in order {
-            let used = out_ports_free.entry(t).or_insert(0);
+        for i in order {
+            let (t, used) = (tiles[i], &mut out_ports_used[i]);
             if *used >= params.io_out {
                 continue;
             }

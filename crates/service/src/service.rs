@@ -73,10 +73,10 @@ pub struct SlotFault {
 }
 
 /// The service's telemetry handles. Deterministic class throughout
-/// except the phase-timing histograms: every counter here is bumped on
-/// the coordinating thread during the sequential plan/apply phases (or
-/// in `submit`/`discard`, which are caller-sequenced), so the values are
-/// bit-identical at any executor width and lane width.
+/// except the phase- and admission-timing histograms: every counter here
+/// is bumped on the coordinating thread during the sequential plan/apply
+/// phases (or in `submit`/`discard`, which are caller-sequenced), so the
+/// values are bit-identical at any executor width and lane width.
 #[derive(Debug, Clone)]
 struct ServiceMetrics {
     /// Requests accepted by `submit`, sharded per shard.
@@ -116,6 +116,11 @@ struct ServiceMetrics {
     eval_us: Histogram,
     /// Wall-clock microseconds of the sequential apply phase.
     apply_us: Histogram,
+    /// Wall-clock microseconds admission spends in place & route.
+    admit_route_us: Histogram,
+    /// Wall-clock microseconds admission spends fetching or compiling its
+    /// plane.
+    admit_compile_us: Histogram,
 }
 
 impl ServiceMetrics {
@@ -141,6 +146,8 @@ impl ServiceMetrics {
             plan_us: r.histogram("service_plan_us", wall),
             eval_us: r.histogram("service_eval_us", wall),
             apply_us: r.histogram("service_apply_us", wall),
+            admit_route_us: r.histogram("service_admit_route_us", wall),
+            admit_compile_us: r.histogram("service_admit_compile_us", wall),
         }
     }
 }
@@ -436,6 +443,7 @@ impl ShardedService {
     ) -> Result<TenantId, ServiceError> {
         let fingerprint = netlist_fingerprint(netlist);
         let engine = &mut self.engines[placement.shard];
+        let route_start = Instant::now();
         let routed = implement_netlist_robust(
             engine.fabric_mut(),
             netlist,
@@ -443,15 +451,22 @@ impl ShardedService {
             SLOT_SEED + placement.ctx as u64,
             ROUTE_ATTEMPTS,
         );
+        self.metrics
+            .admit_route_us
+            .observe(route_start.elapsed().as_micros() as u64);
         if let Err(e) = routed {
             // leave the slot exactly as reserved: free and unconfigured
             engine.fabric_mut().clear_context(placement.ctx)?;
             return Err(e.into());
         }
         let digest = engine.fabric().context_digest(placement.ctx)?;
+        let compile_start = Instant::now();
         let plane = self.cache.get_or_compile(digest, || {
             CompiledFabric::compile_context(engine.fabric(), placement.ctx)
         })?;
+        self.metrics
+            .admit_compile_us
+            .observe(compile_start.elapsed().as_micros() as u64);
         engine.install_plane(placement.ctx, plane);
         let id = self.registry.commit(name, placement, digest);
         self.affinity.entry(fingerprint).or_insert(placement.ctx);
@@ -1104,10 +1119,13 @@ impl ShardedService {
     /// (e.g. the source node died before its plane could be exported).
     ///
     /// The checkpoint's digest covers the *routed configuration*, and
-    /// admission routing is deterministic per context slot
-    /// (`SLOT_SEED + ctx`), so routing `netlist` on a scratch fabric
-    /// of the checkpoint's own geometry reproduces the original
-    /// configuration exactly — the digest proves it. Each context is
+    /// admission routing is a pure function of `(netlist, geometry, ctx,
+    /// SLOT_SEED + ctx)`: the annealer draws from an RNG seeded per slot,
+    /// the maze router expands sinks in crossbar order and seeds each
+    /// fanout branch from its net's wires in claim order, and routing into
+    /// `ctx` reads no other context's configuration. So routing `netlist`
+    /// on a scratch fabric of the checkpoint's own geometry reproduces the
+    /// original configuration exactly — the digest proves it. Each context is
     /// tried (a tenant that migrated between admission and checkpoint
     /// carries a context index different from the one it was routed in);
     /// the first digest match is compiled and cached, after which

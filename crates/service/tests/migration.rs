@@ -434,6 +434,38 @@ fn fresh_node_restore_reprovisions_plane_from_netlist() {
     // provisioning is idempotent once cached
     cold.provision_plane(ckpt.digest, &parity, ckpt.params)
         .unwrap();
+
+    // a fanout design (every adder input and carry feeds two LUTs) routes
+    // its later branches from the wires its net already owns; provisioning
+    // must still reproduce the admitted configuration exactly
+    let adder = generators::ripple_adder(3).unwrap();
+    let t = src.admit("adder", &adder).unwrap();
+    let vector: Vec<(String, bool)> = ["a0", "a1", "a2", "b0", "b1", "b2", "cin"]
+        .iter()
+        .enumerate()
+        .map(|(i, n)| (n.to_string(), (0b101_1011 >> i) & 1 == 1))
+        .collect();
+    let refs: Vec<(&str, bool)> = vector.iter().map(|(n, b)| (n.as_str(), *b)).collect();
+    src.submit(t, &refs).unwrap();
+    let ckpt = src.checkpoint_tenant(t).unwrap();
+    let mut cold3 = service(1);
+    cold3
+        .provision_plane(ckpt.digest, &adder, ckpt.params)
+        .unwrap();
+    let (restored, fresh) = cold3.restore_tenant(&ckpt, 0).unwrap();
+    assert_eq!(fresh.len(), 1);
+    let responses = cold3.drain().unwrap();
+    let ours: Vec<_> = responses.iter().filter(|r| r.tenant == restored).collect();
+    assert_eq!(ours.len(), 1);
+    let mut got: Vec<(String, bool)> = ours[0]
+        .outputs
+        .iter()
+        .map(|(n, b)| (n.to_string(), *b))
+        .collect();
+    let mut want = adder.eval(&refs).unwrap();
+    got.sort();
+    want.sort();
+    assert_eq!(got, want, "3 + 3 + 1 through the re-provisioned plane");
 }
 
 /// Directed-migration error surface: bad shard, full shard.
